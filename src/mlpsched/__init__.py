@@ -19,13 +19,10 @@ from .core import (
 )
 from .engine import (
     QuantumRecord,
-    SimState,
     SimulationReport,
     SimulationTotals,
     initial_schedule,
     run_simulation,
-    sample_mlp,
-    step_cycle,
     throughput,
 )
 from .experiments import (
@@ -76,7 +73,6 @@ __all__ = [
     "QuantumRecord",
     "Schedule",
     "ScheduleQuality",
-    "SimState",
     "SimulationReport",
     "SimulationTotals",
     "SystemConfig",
@@ -100,11 +96,9 @@ __all__ = [
     "run_policies",
     "run_simulation",
     "run_sweep",
-    "sample_mlp",
     "save_trace",
     "serpentine_schedule",
     "static_schedule",
-    "step_cycle",
     "throughput",
     "validate_schedule",
     "__version__",

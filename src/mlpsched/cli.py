@@ -32,6 +32,7 @@ from .experiments import (
     run_oracle_check,
     run_policies,
     run_sweep,
+    speedup,
     write_compare_csv,
     write_quanta_csv,
     write_summary,
@@ -106,12 +107,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     write_summary(config, reports, seed, summary)
     base = metrics[0].throughput
     for m in metrics:
-        speedup = 1.0 if m.throughput == base else m.throughput / base
         _say(
             args,
             f"{m.policy.value:<14} throughput {m.throughput:.6f} "
             f"stalls {m.total_stalls:>8} gap {m.mean_gap:.4f} "
-            f"oversub {m.mean_oversubscription:.4f} speedup {speedup:.4f}",
+            f"oversub {m.mean_oversubscription:.4f} "
+            f"speedup {speedup(m.throughput, base):.4f}",
         )
     _say(args, f"wrote {table}")
     _say(args, f"wrote {summary}")

@@ -1,4 +1,4 @@
-"""Deterministic cycle-level engine for MSHR contention and quantum scheduling.
+"""Deterministic next-event engine for MSHR contention and quantum scheduling.
 
 Threads generate memory requests against their processor's finite MSHR pool.
 A request occupies one MSHR for exactly ``memory_latency`` cycles; a full
@@ -7,7 +7,7 @@ the per-thread occupancy counters (averaged over the final ``window_cycles``
 of the quantum) are sampled and handed to a scheduling policy, which picks
 the next quantum's placement.
 
-Each cycle applies, in this fixed order:
+The model is defined cycle by cycle.  Each cycle applies, in this order:
 
 1. retire every in-flight request whose completion cycle is now;
 2. issue new requests: each processor's slots are visited in rotating
@@ -19,14 +19,39 @@ Each cycle applies, in this fixed order:
    accumulators;
 4. advance phase clocks and the cycle counter.
 
+The engine does not step every cycle (next-event time advance; Law and
+Kelton, *Simulation Modeling and Analysis*, ch. 1).  It runs steps 1 and 2
+only at event cycles, the earliest of: some pool's head completion, some
+thread's phase end, a migrated thread's unfreeze, the window start and the
+quantum boundary.  Across the idle cycles up to the next event the result
+is the same as stepping them one by one, for these reasons:
+
+* nothing retires, so no outstanding count falls and no MSHR frees;
+* no demand changes, no thread unfreezes and the placement is fixed;
+* the issue round at the last event ran until each pool was full or every
+  eligible resident had reached its demand, so an idle cycle would grant
+  nothing, whatever its start slot;
+* hence the outstanding counts and pool sizes stay constant, and the
+  threads that stall are exactly those that stalled at the last event.
+
+So the event cycle and the D - 1 idle cycles after it add D times each
+outstanding count to the thread's occupancy integral, D times each pool's
+size to its pool integral, and D to the stall count of each thread left
+wanting at a full pool.  The window start is an event: the windowed sum a
+quantum samples is the growth of the occupancy integral since then.
+
 Everything is integer arithmetic over plain lists, so a run is bitwise
-deterministic in (config, workloads, policy, seed, total_quanta).
+deterministic in (config, workloads, policy, seed, total_quanta).  The
+cycle-by-cycle engine this one replaced is kept as the test oracle in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from .core import (
@@ -42,17 +67,14 @@ from .workload import ThreadWorkload
 
 __all__ = [
     "QuantumRecord",
-    "SimState",
     "SimulationReport",
     "SimulationTotals",
     "initial_schedule",
     "run_simulation",
-    "sample_mlp",
-    "step_cycle",
     "throughput",
 ]
 
-# Sentinel remaining-duration for threads that ran out of phases (repeat off).
+# Phase-end cycle of a thread that ran out of phases (repeat off): never.
 _IDLE_FOREVER = 1 << 62
 
 
@@ -60,176 +82,6 @@ def initial_schedule(config: SystemConfig) -> Schedule:
     """Row-major start: thread i on processor i mod K, slot i div K."""
     k = config.num_processors
     return Schedule(tuple((i % k, i // k) for i in range(config.num_threads)))
-
-
-@dataclass
-class SimState:
-    """Mutable engine state; one instance per run, never shared.
-
-    ``pools[p]`` holds (completion_cycle, thread) records in issue order;
-    with a fixed memory latency issue order is completion order, so each
-    pool is a FIFO.  A migrated thread's in-flight requests stay in the old
-    processor's pool (they hold those MSHRs until retirement) while new
-    requests allocate on the new processor.
-    """
-
-    cycle: int
-    schedule: Schedule
-    pools: list[deque]                 # per processor: (completion_cycle, thread)
-    slot_owner: list[list[int]]        # [processor][slot] -> thread id
-    slot_orders: list[tuple[int, ...]] # [start] -> slot visit order
-    outstanding: list[int]             # per thread, across both pools during migration
-    demand: list[int]                  # per thread, current phase target
-    phases: list[tuple]                # per thread, the phase tuple
-    repeat: list[bool]
-    phase_idx: list[int]
-    phase_left: list[int]              # cycles left in the current phase
-    frozen_until: list[int]            # migrated threads may not issue before this cycle
-    occupancy_accum: list[int]         # windowed; reset at window start and on sampling
-    occupancy_total: list[int]         # whole-run per-thread occupancy integral
-    proc_occupancy_total: list[int]    # whole-run per-processor pool occupancy integral
-    completed_quantum: list[int]
-    stalls_quantum: list[int]
-
-    @classmethod
-    def initial(
-        cls,
-        config: SystemConfig,
-        schedule: Schedule,
-        workloads: Sequence[ThreadWorkload],
-    ) -> "SimState":
-        n = config.num_threads
-        k = config.num_processors
-        l = config.slots_per_processor
-        state = cls(
-            cycle=0,
-            schedule=schedule,
-            pools=[deque() for _ in range(k)],
-            slot_owner=[[-1] * l for _ in range(k)],
-            slot_orders=[tuple((start + i) % l for i in range(l)) for start in range(l)],
-            outstanding=[0] * n,
-            demand=[w.phases[0].demand for w in workloads],
-            phases=[w.phases for w in workloads],
-            repeat=[w.repeat for w in workloads],
-            phase_idx=[0] * n,
-            phase_left=[w.phases[0].duration for w in workloads],
-            frozen_until=[0] * n,
-            occupancy_accum=[0] * n,
-            occupancy_total=[0] * n,
-            proc_occupancy_total=[0] * k,
-            completed_quantum=[0] * n,
-            stalls_quantum=[0] * n,
-        )
-        state._index_schedule(schedule)
-        return state
-
-    def _index_schedule(self, schedule: Schedule) -> None:
-        for t, (p, s) in enumerate(schedule.placement):
-            self.slot_owner[p][s] = t
-        self.schedule = schedule
-
-
-def _advance_phase(state: SimState, t: int) -> None:
-    idx = state.phase_idx[t] + 1
-    phases = state.phases[t]
-    if idx == len(phases):
-        if not state.repeat[t]:
-            state.demand[t] = 0
-            state.phase_left[t] = _IDLE_FOREVER
-            return
-        idx = 0
-    state.phase_idx[t] = idx
-    state.demand[t] = phases[idx].demand
-    state.phase_left[t] = phases[idx].duration
-
-
-def step_cycle(state: SimState, config: SystemConfig) -> SimState:
-    """Advance the engine by one cycle (retire, issue, accumulate, tick).
-
-    Mutates ``state`` in place and returns it.
-    """
-    cycle = state.cycle
-    outstanding = state.outstanding
-    demand = state.demand
-    frozen = state.frozen_until
-    completed = state.completed_quantum
-
-    for pool in state.pools:
-        while pool and pool[0][0] == cycle:
-            t = pool.popleft()[1]
-            outstanding[t] -= 1
-            completed[t] += 1
-
-    mshrs = config.mshrs_per_processor
-    slot_order = state.slot_orders[cycle % config.slots_per_processor]
-    stalls = state.stalls_quantum
-    for p, pool in enumerate(state.pools):
-        owners = state.slot_owner[p]
-        free = mshrs - len(pool)
-        if free:
-            completion = cycle + config.memory_latency
-            # Single-grant rounds over the rotating slot order split a scarce
-            # pool evenly (within one request) among the wanting threads.
-            while free:
-                granted = False
-                for s in slot_order:
-                    t = owners[s]
-                    if outstanding[t] < demand[t] and frozen[t] <= cycle:
-                        pool.append((completion, t))
-                        outstanding[t] += 1
-                        free -= 1
-                        granted = True
-                        if not free:
-                            break
-                if not granted:
-                    break
-        if not free:
-            # Pool exhausted: every resident thread still wanting stalls.
-            for s in slot_order:
-                t = owners[s]
-                if outstanding[t] < demand[t] and frozen[t] <= cycle:
-                    stalls[t] += 1
-        assert len(pool) <= mshrs
-
-    occ = state.occupancy_accum
-    occ_total = state.occupancy_total
-    left = state.phase_left
-    for t in range(len(outstanding)):
-        o = outstanding[t]
-        occ[t] += o
-        occ_total[t] += o
-        remaining = left[t] - 1
-        if remaining:
-            left[t] = remaining
-        else:
-            _advance_phase(state, t)
-
-    proc_total = state.proc_occupancy_total
-    for p, pool in enumerate(state.pools):
-        proc_total[p] += len(pool)
-
-    state.cycle = cycle + 1
-    return state
-
-
-def sample_mlp(state: SimState, config: SystemConfig) -> MlpVector:
-    """Windowed mean occupancy per thread, sampled at a quantum boundary.
-
-    The accumulator must cover exactly the final ``window_cycles`` of the
-    elapsed quantum (the run loop resets it at the window start); sampling
-    resets it again, so windows tumble.  Calling off-boundary is a contract
-    violation.
-    """
-    q = config.quantum_cycles
-    if state.cycle == 0 or state.cycle % q:
-        raise RuntimeError(
-            f"sample_mlp called at cycle {state.cycle}, which is not a quantum boundary"
-        )
-    window = config.window_cycles
-    values = tuple(a / window for a in state.occupancy_accum)
-    for t in range(len(state.occupancy_accum)):
-        state.occupancy_accum[t] = 0
-    return values
 
 
 @dataclass(frozen=True)
@@ -313,33 +165,138 @@ def run_simulation(
     _check_workloads(workloads, config)
 
     n = config.num_threads
+    k = config.num_processors
+    l = config.slots_per_processor
+    mshrs = config.mshrs_per_processor
+    latency = config.memory_latency
     q_len = config.quantum_cycles
     window = config.window_cycles
-    state = SimState.initial(config, initial_schedule(config), workloads)
 
+    # pools[p] holds (completion_cycle, thread) in issue order; with a fixed
+    # latency that is completion order, so each pool is a FIFO.  A migrated
+    # thread's in-flight requests keep the old pool's MSHRs until they retire.
+    pools = [deque() for _ in range(k)]
+    owners = [[-1] * l for _ in range(k)]  # [processor][slot] -> thread
+    slot_orders = [tuple((start + i) % l for i in range(l)) for start in range(l)]
+    outstanding = [0] * n  # per thread, across both pools during a migration
+    phase_tables = [[(ph.duration, ph.demand) for ph in w.phases] for w in workloads]
+    repeat = [w.repeat for w in workloads]
+    phase_idx = [0] * n
+    demand = [table[0][1] for table in phase_tables]
+    # (first cycle of the thread's next phase, thread), kept sorted: the head
+    # is the earliest phase end, and only a phase end moves it.
+    phase_ends = sorted((table[0][0], t) for t, table in enumerate(phase_tables))
+    frozen = [0] * n  # a migrated thread may not issue before this cycle
+    # Whole-run occupancy integrals.  Each update builds a new list, so a
+    # reference taken at the window start is a snapshot of that cycle.
+    occ_total = [0] * n
+    window_base = occ_total
+    proc_total = [0] * k
+    completed = [0] * n
+    stalls = [0] * n
+
+    schedule = initial_schedule(config)
     records: list[QuantumRecord] = []
     completed_total = [0] * n
     stalls_total = [0] * n
+    cycle = 0
     for q in range(total_quanta):
-        boundary = (q + 1) * q_len
+        for t, (p, s) in enumerate(schedule.placement):
+            owners[p][s] = t
+        boundary = cycle + q_len
         window_start = boundary - window
-        active = state.schedule
-        while state.cycle < boundary:
-            if state.cycle == window_start:
-                for t in range(n):
-                    state.occupancy_accum[t] = 0
-            step_cycle(state, config)
+        # Unfreezes still ahead, latest first; with a penalty above the
+        # quantum an earlier boundary's freeze may still be pending.
+        unfreezes = sorted({f for f in frozen if f > cycle}, reverse=True)
 
-        mlp = sample_mlp(state, config)
-        chosen = next_schedule(policy, mlp, config, active, quantum_seed(seed, q))
+        while cycle < boundary:
+            while phase_ends[0][0] == cycle:
+                t = phase_ends.pop(0)[1]
+                table = phase_tables[t]
+                idx = phase_idx[t] + 1
+                if idx == len(table):
+                    if not repeat[t]:
+                        demand[t] = 0
+                        insort(phase_ends, (_IDLE_FOREVER, t))
+                        continue
+                    idx = 0
+                phase_idx[t] = idx
+                duration, demand[t] = table[idx]
+                insort(phase_ends, (cycle + duration, t))
+            if cycle == window_start:
+                window_base = occ_total
+
+            next_event = window_start if cycle < window_start else boundary
+            if phase_ends[0][0] < next_event:
+                next_event = phase_ends[0][0]
+            while unfreezes and unfreezes[-1] <= cycle:
+                unfreezes.pop()
+            if unfreezes and unfreezes[-1] < next_event:
+                next_event = unfreezes[-1]
+
+            for pool in pools:
+                while pool and pool[0][0] == cycle:
+                    t = pool.popleft()[1]
+                    outstanding[t] -= 1
+                    completed[t] += 1
+
+            slot_order = slot_orders[cycle % l]
+            stalled = []
+            for p, pool in enumerate(pools):
+                owned = owners[p]
+                free = mshrs - len(pool)
+                if free:
+                    completion = cycle + latency
+                    # Single-grant rounds over the rotating slot order split a
+                    # scarce pool evenly (within one request) among the
+                    # wanting threads.
+                    while free:
+                        granted = False
+                        for s in slot_order:
+                            t = owned[s]
+                            if outstanding[t] < demand[t] and frozen[t] <= cycle:
+                                pool.append((completion, t))
+                                outstanding[t] += 1
+                                free -= 1
+                                granted = True
+                                if not free:
+                                    break
+                        if not granted:
+                            break
+                if not free:
+                    # Pool exhausted: every resident thread still wanting
+                    # stalls, now and on every idle cycle up to the next event.
+                    for s in slot_order:
+                        t = owned[s]
+                        if outstanding[t] < demand[t] and frozen[t] <= cycle:
+                            stalled.append(t)
+                assert len(pool) <= mshrs
+                if pool and pool[0][0] < next_event:
+                    next_event = pool[0][0]
+
+            gap = next_event - cycle
+            if gap == 1:
+                occ_total = list(map(add, occ_total, outstanding))
+                proc_total = list(map(add, proc_total, map(len, pools)))
+                for t in stalled:
+                    stalls[t] += 1
+            else:
+                occ_total = [a + o * gap for a, o in zip(occ_total, outstanding)]
+                proc_total = [a + len(pool) * gap for a, pool in zip(proc_total, pools)]
+                for t in stalled:
+                    stalls[t] += gap
+            cycle = next_event
+
+        mlp = tuple((a - b) / window for a, b in zip(occ_total, window_base))
+        chosen = next_schedule(policy, mlp, config, schedule, quantum_seed(seed, q))
         quality = processor_load(chosen, mlp, config)
-        completed_q = tuple(state.completed_quantum)
-        stalls_q = tuple(state.stalls_quantum)
+        completed_q = tuple(completed)
+        stalls_q = tuple(stalls)
         records.append(
             QuantumRecord(
                 index=q,
                 sampled_mlp=mlp,
-                schedule=active,
+                schedule=schedule,
                 chosen=chosen,
                 quality=quality,
                 completed=completed_q,
@@ -349,11 +306,11 @@ def run_simulation(
         for t in range(n):
             completed_total[t] += completed_q[t]
             stalls_total[t] += stalls_q[t]
-            state.completed_quantum[t] = 0
-            state.stalls_quantum[t] = 0
-            if chosen.placement[t][0] != active.placement[t][0]:
-                state.frozen_until[t] = boundary + config.migration_penalty
-        state._index_schedule(chosen)
+            completed[t] = 0
+            stalls[t] = 0
+            if chosen.placement[t][0] != schedule.placement[t][0]:
+                frozen[t] = boundary + config.migration_penalty
+        schedule = chosen
 
     cycles = total_quanta * q_len
     total_completed = sum(completed_total)
@@ -362,8 +319,8 @@ def run_simulation(
         completed=total_completed,
         stall_cycles_per_thread=tuple(stalls_total),
         stall_cycles=sum(stalls_total),
-        occupancy_integral=tuple(state.occupancy_total),
-        mean_processor_occupancy=tuple(pt / cycles for pt in state.proc_occupancy_total),
+        occupancy_integral=tuple(occ_total),
+        mean_processor_occupancy=tuple(pt / cycles for pt in proc_total),
         cycles=cycles,
         throughput=total_completed / cycles,
     )

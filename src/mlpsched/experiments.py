@@ -57,6 +57,7 @@ __all__ = [
     "run_oracle_check",
     "run_policies",
     "run_sweep",
+    "speedup",
     "write_compare_csv",
     "write_quanta_csv",
     "write_summary",
@@ -106,6 +107,17 @@ class ExperimentConfig:
             )
         if not 0 <= self.seed < _MAX_SEED:
             raise ConfigError(f"config field 'seed': must be in [0, 2^64), got {self.seed}")
+        _check_optimal_fits(self.system, self.policies)
+
+
+def _check_optimal_fits(system: SystemConfig, policies: Sequence[Policy]) -> None:
+    """Refuse ``optimal`` on a machine too large for its exhaustive search."""
+    if Policy.OPTIMAL in policies and system.num_threads > MAX_EXHAUSTIVE_THREADS:
+        raise ConfigError(
+            f"config field 'policies': optimal needs K*L <= {MAX_EXHAUSTIVE_THREADS} "
+            f"threads, the machine has {system.num_processors}*"
+            f"{system.slots_per_processor} = {system.num_threads}"
+        )
 
 
 def _fail(field: str, problem: str) -> ConfigError:
@@ -353,6 +365,15 @@ def write_quanta_csv(report: SimulationReport, path: str) -> None:
                 )
 
 
+def speedup(throughput: float, base: float) -> float:
+    """``throughput`` over ``base``: 1 when equal (0/0 included), inf over a zero base."""
+    if throughput == base:
+        return 1.0
+    if base == 0.0:
+        return float("inf")
+    return throughput / base
+
+
 def write_compare_csv(metrics: Sequence[PolicyMetrics], path: str) -> None:
     """Comparison table; speedup is against the first-listed policy."""
     base = metrics[0].throughput
@@ -360,12 +381,6 @@ def write_compare_csv(metrics: Sequence[PolicyMetrics], path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(COMPARE_FIELDS)
         for m in metrics:
-            if m.throughput == base:
-                speedup = 1.0
-            elif base == 0.0:
-                speedup = float("inf")
-            else:
-                speedup = m.throughput / base
             writer.writerow(
                 [
                     m.policy.value,
@@ -373,7 +388,7 @@ def write_compare_csv(metrics: Sequence[PolicyMetrics], path: str) -> None:
                     m.total_stalls,
                     m.mean_gap,
                     m.mean_oversubscription,
-                    speedup,
+                    speedup(m.throughput, base),
                 ]
             )
 
@@ -426,29 +441,34 @@ def run_sweep(
     """Cartesian product over the swept values; rows in (point, policy) order.
 
     Returns (header, rows).  Each point rebuilds the machine config, so
-    swept shapes revalidate and repad; a point that violates an invariant
-    aborts the sweep with the offending values named.
+    swept shapes revalidate and repad; every point is checked before any
+    runs, and one that violates an invariant aborts the sweep with the
+    offending values named.
     """
     if not config.sweep:
         raise ConfigError("config field 'sweep': required for a sweep run")
     base_seed = config.seed if seed is None else seed
     keys = tuple(k for k, _ in config.sweep)
     header = keys + ("policy",) + COMPARE_FIELDS[1:-1]
-    rows: list[tuple] = []
+    points = []
     for point in _sweep_points(config):
         label = ", ".join(f"{k}={v}" for k, v in point.items())
         system_fields = {k: v for k, v in point.items() if k in _SYSTEM_FIELDS}
         quanta = point.get("quanta", config.quanta)
-        point_seed = point.get("seed", base_seed)
         try:
             system = dataclasses.replace(config.system, **system_fields)
             if config.warmup_quanta >= quanta:
                 raise ConfigError(
                     f"quanta {quanta} must exceed warmup_quanta {config.warmup_quanta}"
                 )
+            _check_optimal_fits(system, config.policies)
             padded = pad_workloads(config.workloads, system)
         except ConfigError as exc:
             raise ConfigError(f"sweep point ({label}): {exc}") from exc
+        points.append((point, system, padded, quanta, point.get("seed", base_seed)))
+
+    rows: list[tuple] = []
+    for point, system, padded, quanta, point_seed in points:
         for policy in config.policies:
             report = run_simulation(system, padded, policy, point_seed, quanta)
             m = measure(report, config.warmup_quanta)

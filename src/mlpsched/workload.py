@@ -45,10 +45,12 @@ class Phase:
     demand: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.duration, int) or self.duration < 1:
-            raise ValueError(f"phase duration must be >= 1, got {self.duration!r}")
-        if not isinstance(self.demand, int) or self.demand < 0:
-            raise ValueError(f"phase demand must be >= 0, got {self.demand!r}")
+        # bool is an int subclass, but True is neither a duration nor a demand
+        duration, demand = self.duration, self.demand
+        if isinstance(duration, bool) or not isinstance(duration, int) or duration < 1:
+            raise ValueError(f"phase duration must be an integer >= 1, got {duration!r}")
+        if isinstance(demand, bool) or not isinstance(demand, int) or demand < 0:
+            raise ValueError(f"phase demand must be an integer >= 0, got {demand!r}")
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,25 @@ def test_compare_table_and_speedup(tmp_path):
     assert abs(float(rows[2][5]) - 1.40) <= 1.40 * 0.05
 
 
+def test_compare_zero_base_throughput_prints_inf(tmp_path, capsys):
+    # round_robin moves every thread at each boundary and the penalty
+    # freezes them for the rest of the run, so its measured quantum
+    # completes nothing: every speedup against it is infinite
+    doc = small_doc(policies=["round_robin", "static"], quanta=3, warmup_quanta=2)
+    doc["system"]["migration_penalty"] = 10**9
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("round_robin") and lines[0].endswith("speedup 1.0000")
+    assert lines[1].startswith("static") and lines[1].endswith("speedup inf")
+    with open(out / "compare.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[5] for row in rows[1:]] == ["1.0", "inf"]
+
+
 def test_compare_needs_two_policies(tmp_path, capsys):
     cfg = write_config(tmp_path, small_doc(policies=["serpentine"]))
     assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

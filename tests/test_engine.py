@@ -1,4 +1,9 @@
-"""Cycle-level engine: retire/issue ordering, counters, feedback loop."""
+"""Engine: retire/issue ordering, counters, feedback loop.
+
+Tests that step single cycles drive the cycle-by-cycle oracle in
+``reference.py``; ``run_simulation`` is checked against that oracle report
+for report, and through one-cycle quanta where a table is per cycle.
+"""
 
 import dataclasses
 import random
@@ -12,15 +17,16 @@ from mlpsched import (
     Schedule,
     SystemConfig,
     ThreadWorkload,
+    WorkloadSpec,
+    generate_synthetic,
     initial_schedule,
     pad_workloads,
     run_simulation,
-    sample_mlp,
     serpentine_schedule,
-    step_cycle,
     throughput,
 )
-from mlpsched.engine import SimState
+
+from reference import SimState, run_reference, sample_mlp, step_cycle
 
 
 def constant(demand):
@@ -85,6 +91,10 @@ def test_two_heavy_threads_split_the_pool_evenly():
     for _ in range(2000):
         step_cycle(state, cfg)
         assert abs(state.outstanding[0] - state.outstanding[1]) <= 1
+    # one-cycle quanta and windows sample the end-of-cycle outstanding counts
+    per_cycle = dataclasses.replace(cfg, quantum_cycles=1, window_cycles=1)
+    rep = run_simulation(per_cycle, workloads, "static", 0, 2000)
+    assert all(abs(a - b) <= 1 for a, b in (r.sampled_mlp for r in rep.per_quantum))
 
 
 def test_rotating_arbitration_hand_table():
@@ -111,6 +121,15 @@ def test_rotating_arbitration_hand_table():
         step_cycle(state, cfg)
         assert tuple(state.outstanding) == outstanding
         assert tuple(state.stalls_quantum) == stalls
+    # the same table through run_simulation, one cycle per quantum: each
+    # record samples that cycle's outstanding counts and its own stalls
+    per_cycle = dataclasses.replace(cfg, quantum_cycles=1, window_cycles=1)
+    rep = run_simulation(per_cycle, workloads, "static", 0, len(expect))
+    previous = (0, 0)
+    for record, (outstanding, stalls) in zip(rep.per_quantum, expect):
+        assert record.sampled_mlp == tuple(float(o) for o in outstanding)
+        assert record.stalls == tuple(b - a for a, b in zip(previous, stalls))
+        previous = stalls
 
 
 def test_stall_accounting_requires_unmet_demand_and_full_pool():
@@ -134,6 +153,10 @@ def test_requests_reside_exactly_latency_cycles():
         else:
             assert state.outstanding == [0]
     assert state.completed_quantum == [3]
+    per_cycle = dataclasses.replace(cfg, quantum_cycles=1, window_cycles=1)
+    rep = run_simulation(per_cycle, workloads, "static", 0, 20)
+    assert [r.sampled_mlp for r in rep.per_quantum] == [(3.0,)] * 7 + [(0.0,)] * 13
+    assert [r.completed for r in rep.per_quantum] == [(0,)] * 7 + [(3,)] + [(0,)] * 12
 
 
 def test_mshr_cap_and_demand_cap_invariants():
@@ -213,7 +236,7 @@ def test_migrated_thread_drains_on_old_pool():
         step_cycle(state, cfg)
     assert len(state.pools[0]) == 3 and not state.pools[1]
     # move T0 to processor 1 at cycle 10, frozen through cycle 29
-    state._index_schedule(Schedule(((1, 0), (0, 0))))
+    state.index_schedule(Schedule(((1, 0), (0, 0))))
     state.frozen_until[0] = 30
     while state.cycle < 40:
         step_cycle(state, cfg)
@@ -382,3 +405,91 @@ def test_throughput_helper():
     zero = dataclasses.replace(rep, totals=dataclasses.replace(rep.totals, cycles=0))
     with pytest.raises(ValueError, match="zero-cycle"):
         throughput(zero)
+
+
+def random_machine(rng, policy):
+    """A small random machine and workload; returns run_simulation's arguments.
+
+    Latencies and penalties are drawn up to a few quanta, windows are often
+    the whole quantum, and phases are often non-repeating, so the corpus
+    hits every kind of event, and several at once.
+    """
+    k = rng.randint(1, 3)
+    l = rng.randint(1, 3)
+    m = rng.randint(1, 8)
+    q_len = rng.randint(1, 60)
+    cfg = SystemConfig(
+        num_processors=k,
+        slots_per_processor=l,
+        mshrs_per_processor=m,
+        memory_latency=rng.randint(1, 3 * q_len),
+        quantum_cycles=q_len,
+        window_cycles=rng.choice((q_len, rng.randint(1, q_len))),
+        migration_penalty=rng.choice((0, rng.randint(1, q_len), rng.randint(q_len + 1, 3 * q_len))),
+    )
+    workloads = tuple(
+        ThreadWorkload(
+            t,
+            tuple(
+                Phase(rng.randint(1, 80), rng.randint(0, m))
+                for _ in range(rng.randint(1, 4))
+            ),
+            repeat=rng.random() < 0.5,
+        )
+        for t in range(k * l)
+    )
+    return cfg, workloads, policy, rng.randrange(1 << 64), rng.randint(1, 6)
+
+
+def test_matches_cycle_by_cycle_reference_on_random_machines():
+    """The next-event engine and the cycle-by-cycle oracle agree report for
+    report; the corpus is checked to cover each case that makes events
+    coincide or cross a boundary."""
+    rng = random.Random(2019)
+    seen = dict.fromkeys(
+        (
+            "migration, penalty 0",
+            "migration, penalty up to Q",
+            "migration, penalty over Q",
+            "non-repeating phases",
+            "window = quantum",
+            "latency > quantum",
+        ),
+        0,
+    )
+    for case in range(420):
+        args = random_machine(rng, tuple(Policy)[case % len(Policy)])
+        cfg, workloads = args[0], args[1]
+        got = run_simulation(*args)
+        assert got == run_reference(*args), f"case {case}: {args}"
+        migrated = any(
+            r.chosen.placement[t][0] != r.schedule.placement[t][0]
+            for r in got.per_quantum[:-1]
+            for t in range(cfg.num_threads)
+        )
+        if migrated:
+            penalty = cfg.migration_penalty
+            kind = "0" if penalty == 0 else "up to Q" if penalty <= cfg.quantum_cycles else "over Q"
+            seen[f"migration, penalty {kind}"] += 1
+        seen["non-repeating phases"] += any(not w.repeat for w in workloads)
+        seen["window = quantum"] += cfg.window_cycles == cfg.quantum_cycles
+        seen["latency > quantum"] += cfg.memory_latency > cfg.quantum_cycles
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("policy", list(Policy), ids=lambda p: p.value)
+def test_matches_cycle_by_cycle_reference_on_contended_4x3(policy):
+    """A 4x3 machine with long phases, few events and contended pools."""
+    cfg = SystemConfig(
+        num_processors=4,
+        slots_per_processor=3,
+        mshrs_per_processor=12,
+        memory_latency=90,
+        quantum_cycles=1500,
+        window_cycles=400,
+        migration_penalty=35,
+    )
+    spec = WorkloadSpec(phases_per_thread=3, duration_range=(300, 2500), demand_range=(0, 9))
+    workloads = generate_synthetic(spec, cfg.num_threads, seed=7)
+    args = (cfg, workloads, policy, 5, 6)
+    assert run_simulation(*args) == run_reference(*args)

@@ -24,6 +24,7 @@ from mlpsched import (
     run_sweep,
     save_trace,
 )
+import mlpsched.experiments as experiments
 from mlpsched.experiments import (
     COMPARE_FIELDS,
     QUANTA_FIELDS,
@@ -178,6 +179,15 @@ def test_load_propagates_system_invariants(tmp_path):
         load_experiment(write_config(tmp_path, doc))
 
 
+def test_load_rejects_optimal_on_machine_above_exhaustive_cap(tmp_path):
+    doc = base_doc(policies=["serpentine", "optimal"])
+    doc["system"].update(num_processors=4, slots_per_processor=4)
+    with pytest.raises(ConfigError, match=r"'policies': optimal needs K\*L <= 12 .* = 16"):
+        load_experiment(write_config(tmp_path, doc))
+    doc["system"].update(num_processors=4, slots_per_processor=3)  # 12 is allowed
+    assert load_experiment(write_config(tmp_path, doc)).system.num_threads == 12
+
+
 def test_load_trace_demand_cap_applies(tmp_path):
     save_trace((ThreadWorkload(0, (Phase(10, 20),)),), tmp_path / "w.trace")
     doc = base_doc(workload={"trace": "w.trace"})
@@ -318,6 +328,20 @@ def test_sweep_requires_sweep_section(tmp_path):
     config = load_experiment(write_config(tmp_path, base_doc()))
     with pytest.raises(ConfigError, match="sweep"):
         run_sweep(config)
+
+
+def test_sweep_rejects_optimal_point_before_any_point_runs(tmp_path, monkeypatch):
+    # the 4x4 point is last in product order; nothing may simulate before
+    # the sweep refuses it
+    doc = base_doc(policies=["serpentine", "optimal"], sweep={"num_processors": [2, 3, 4]})
+    doc["system"]["slots_per_processor"] = 4
+    doc["system"]["num_processors"] = 3
+    config = load_experiment(write_config(tmp_path, doc))
+    runs = []
+    monkeypatch.setattr(experiments, "run_simulation", lambda *args: runs.append(args))
+    with pytest.raises(ConfigError, match=r"sweep point \(num_processors=4\): .*'policies': optimal"):
+        run_sweep(config)
+    assert runs == []
 
 
 def test_sweep_names_offending_point(tmp_path):

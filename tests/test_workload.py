@@ -27,6 +27,15 @@ def test_phase_validation():
         Phase(duration=10, demand=-1)
 
 
+def test_phase_rejects_bool():
+    with pytest.raises(ValueError, match="duration"):
+        Phase(True, True)
+    with pytest.raises(ValueError, match="duration"):
+        Phase(duration=True, demand=1)
+    with pytest.raises(ValueError, match="demand"):
+        Phase(duration=10, demand=False)
+
+
 def test_thread_workload_requires_phases():
     with pytest.raises(ValueError, match="phase"):
         ThreadWorkload(thread=0, phases=())
