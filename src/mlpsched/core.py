@@ -119,8 +119,9 @@ def validate_schedule(schedule: Schedule, config: SystemConfig) -> None:
     """Check the placement invariants, raising on the first violation.
 
     Violations, in check order: wrong thread count (missing or extra
-    threads), processor or slot index out of range, duplicate (processor,
-    slot) position, and a processor holding other than L threads.
+    threads), processor or slot index out of range, and duplicate
+    (processor, slot) position.  Once these pass, the K*L threads fill the
+    K*L positions one each, so every processor holds exactly L threads.
     """
     k, l = config.num_processors, config.slots_per_processor
     n = k * l
@@ -139,13 +140,6 @@ def validate_schedule(schedule: Schedule, config: SystemConfig) -> None:
                 f"duplicate slot ({p}, {s}) held by threads {seen[p, s]} and {t}"
             )
         seen[p, s] = t
-    per_proc = [0] * k
-    for p, _ in schedule.placement:
-        per_proc[p] += 1
-    for p, count in enumerate(per_proc):
-        # Unreachable once the checks above pass (pigeonhole); kept as a guard.
-        if count != l:
-            raise InvalidScheduleError(f"processor {p} holds {count} threads, expected {l}")
 
 
 @dataclass(frozen=True)

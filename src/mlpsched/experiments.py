@@ -33,7 +33,7 @@ from .policies import (
     MAX_EXHAUSTIVE_THREADS,
     Policy,
     optimal_partition,
-    serpentine_schedule,
+    serpentine_schedule,  # noqa: F401  perfbench/traced.py times calls through this name
 )
 from .workload import (
     IDLE_PHASE_DURATION,
@@ -515,8 +515,10 @@ def run_oracle_check(config: ExperimentConfig, seed: int | None = None) -> Oracl
     rows = []
     worst = 1.0
     for rec in report.per_quantum:
+        # The run's policy is serpentine, so rec.quality already scores
+        # serpentine's decision on this quantum's counters.
         mlp = rec.sampled_mlp
-        serp = processor_load(serpentine_schedule(mlp, system), mlp, system).max_sum
+        serp = rec.quality.max_sum
         opt = processor_load(optimal_partition(mlp, system), mlp, system).max_sum
         ratio = 1.0 if opt == 0.0 else serp / opt
         worst = max(worst, ratio)

@@ -1,9 +1,9 @@
 """Independent reference implementations for cross-checking.
 
 Deliberately constructed differently from the library code (row chunking
-instead of rank arithmetic, combinations instead of a pruned walk, one
-cycle at a time instead of event to event) so that agreement between the
-two is evidence, not tautology.
+instead of rank arithmetic, every partition enumerated instead of a
+memoised subset search, one cycle at a time instead of event to event) so
+that agreement between the two is evidence, not tautology.
 """
 
 import itertools
@@ -64,6 +64,37 @@ def min_makespan(values, k, group_size):
         return out
 
     return best(tuple(range(len(values))))
+
+
+def optimal_reference(values, group_size):
+    """Brute-force oracle: the least max group sum, then the smallest key.
+
+    Enumerates every canonical partition (each group opens with the lowest
+    unplaced id, so each unordered partition appears once), sums each group
+    as ``processor_load`` does (0.0 plus the members in ascending id) and
+    takes the minimum of (max sum, key).  Returns the key: the tuple of
+    sorted per-group id tuples, ordered by smallest id.
+    """
+    def partitions(remaining):
+        if not remaining:
+            yield ()
+            return
+        head, rest = remaining[0], remaining[1:]
+        for others in itertools.combinations(rest, group_size - 1):
+            chosen = set(others)
+            for tail in partitions(tuple(t for t in rest if t not in chosen)):
+                yield ((head, *others), *tail)
+
+    def group_sum(group):
+        total = 0.0
+        for t in group:
+            total += values[t]
+        return total
+
+    return min(
+        partitions(tuple(range(len(values)))),
+        key=lambda key: (max(map(group_sum, key)), key),
+    )
 
 
 def max_sum_of(placement, values, k):

@@ -19,10 +19,13 @@ from mlpsched import (
     load_experiment,
     measure,
     pad_workloads,
+    processor_load,
     run_oracle_check,
     run_policies,
+    run_simulation,
     run_sweep,
     save_trace,
+    serpentine_schedule,
 )
 import mlpsched.experiments as experiments
 from mlpsched.experiments import (
@@ -371,6 +374,20 @@ def test_oracle_check_zero_over_zero_is_one(tmp_path):
     check = run_oracle_check(config)
     assert all(row[1:] == (0.0, 0.0, 1.0) for row in check.rows)
     assert check.corpus_max_ratio == 1.0
+
+
+def test_oracle_check_serpentine_score_is_the_run_quality():
+    # run_oracle_check reads serpentine's max-sum from each quantum's
+    # quality; that must be the same score as re-deciding and re-scoring
+    config = load_experiment(str(CONFIGS / "oracle.json"))
+    system = config.system
+    padded = pad_workloads(config.workloads, system)
+    report = run_simulation(system, padded, Policy.SERPENTINE, config.seed, config.quanta)
+    for rec in report.per_quantum:
+        mlp = rec.sampled_mlp
+        assert rec.quality == processor_load(serpentine_schedule(mlp, system), mlp, system)
+    rows = run_oracle_check(config).rows
+    assert [row[1] for row in rows] == [rec.quality.max_sum for rec in report.per_quantum]
 
 
 def test_oracle_check_rejects_large_machines(tmp_path):

@@ -1,8 +1,10 @@
 """Scheduling policies: serpentine, baselines, exhaustive oracle."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference
 from mlpsched import (
@@ -24,6 +26,10 @@ from mlpsched import (
 
 def cfg(k, l, m=16):
     return SystemConfig(num_processors=k, slots_per_processor=l, mshrs_per_processor=m)
+
+
+# every machine shape the exhaustive oracle accepts
+ORACLE_SHAPES = [(k, l) for k in range(1, 13) for l in range(1, 13) if k * l <= 12]
 
 
 def groups_of(schedule, k):
@@ -212,6 +218,17 @@ def test_optimal_rejects_large_instance():
         optimal_partition(tuple(range(14)), cfg(2, 7))
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [serpentine_schedule, naive_sorted_schedule, optimal_partition],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5], ids=repr)
+def test_counter_policies_refuse_bad_counter(policy, bad):
+    with pytest.raises(ValueError, match=rf"thread 2 .*got {bad!r}$"):
+        policy((1.0, 2.0, bad, 0.0), cfg(2, 2))
+
+
 def test_optimal_rejects_negative_counter():
     with pytest.raises(ValueError, match="non-negative"):
         optimal_partition((1.0, -0.5, 2.0, 0.0), cfg(2, 2))
@@ -225,6 +242,75 @@ def test_optimal_matches_exhaustive_reference():
         mlp = tuple(rng.randint(0, 96) / 8 for _ in range(k * l))
         got = processor_load(optimal_partition(mlp, cfg(k, l)), mlp, cfg(k, l)).max_sum
         assert got == reference.min_makespan(mlp, k, l)
+
+
+def _placement_of(key):
+    placement = {}
+    for p, group in enumerate(key):
+        for s, t in enumerate(group):
+            placement[t] = (p, s)
+    return tuple(placement[t] for t in range(len(placement)))
+
+
+@pytest.mark.parametrize("k,l", ORACLE_SHAPES, ids=[f"{k}x{l}" for k, l in ORACLE_SHAPES])
+def test_optimal_matches_brute_force_partition(k, l):
+    # counters are occupancy integrals over a window, as the engine samples
+    # them; windows of 10 and 100 give sums that round, and small integrals
+    # give many ties, so both the least max and the tie rule are exercised
+    rng = random.Random(100 * k + l)
+    n = k * l
+    partitions = math.factorial(n) // (math.factorial(l) ** k * math.factorial(k))
+    for _ in range(2 if partitions > 1000 else 12):
+        window = rng.choice((4, 10, 100))
+        mlp = tuple(rng.randint(0, rng.choice((3, 10)) * window) / window for _ in range(n))
+        key = reference.optimal_reference(mlp, l)
+        assert optimal_partition(mlp, cfg(k, l)).placement == _placement_of(key)
+
+
+@pytest.mark.parametrize(
+    "k,l,mlp,key",
+    [
+        # exact ties on the least max, which a group sum one ulp off
+        # breaks the wrong way; here threads 2 and 3 both read 8.66
+        (2, 3, (1.04, 7.74, 8.66, 8.66, 0.4, 2.85), ((0, 2, 5), (1, 3, 4))),
+        # two splits tie at 21.7
+        (
+            3,
+            3,
+            (0.41, 9.12, 8.29, 8.91, 3.58, 6.46, 6.95, 9.25, 8.38),
+            ((0, 1, 3), (2, 5, 6), (4, 7, 8)),
+        ),
+        # a sampled vector of a 4x3 simulation: several splits tie at 14.0,
+        # one of them through 1.0+6.98+6.02
+        (
+            4,
+            3,
+            (3.0, 5.0, 1.0, 1.0, 8.0, 5.1525, 4.0, 5.38, 5.4675, 3.0, 6.98, 6.02),
+            ((0, 1, 5), (2, 4, 6), (3, 10, 11), (7, 8, 9)),
+        ),
+    ],
+    ids=["2x3", "3x3", "4x3"],
+)
+def test_optimal_ties_follow_processor_load_sums(k, l, mlp, key):
+    assert reference.optimal_reference(mlp, l) == key
+    assert optimal_partition(mlp, cfg(k, l)).placement == _placement_of(key)
+
+
+@st.composite
+def machine_and_counters(draw):
+    k, l = draw(st.sampled_from(ORACLE_SHAPES))
+    window = draw(st.sampled_from((1, 10, 100, 400)))
+    mlp = draw(st.lists(st.integers(0, 16 * window), min_size=k * l, max_size=k * l))
+    return cfg(k, l), tuple(v / window for v in mlp)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(machine_and_counters())
+def test_optimal_never_above_sorted_deals(case):
+    machine, mlp = case
+    opt = processor_load(optimal_partition(mlp, machine), mlp, machine).max_sum
+    for policy in (serpentine_schedule, naive_sorted_schedule):
+        assert opt <= processor_load(policy(mlp, machine), mlp, machine).max_sum
 
 
 def test_optimal_beats_every_random_schedule():
