@@ -20,12 +20,14 @@ exit 1 with a message naming the offending field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Sequence
 
 from .core import ConfigError
 from .experiments import (
+    _MAX_SEED,
     ExperimentConfig,
     load_experiment,
     measure,
@@ -40,8 +42,6 @@ from .experiments import (
 )
 
 __all__ = ["main"]
-
-_MAX_SEED = 1 << 64
 
 
 def _seed_value(text: str) -> int:
@@ -64,10 +64,11 @@ def _add_common(sub: argparse.ArgumentParser, with_out: bool) -> None:
     sub.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
-def _load(args: argparse.Namespace) -> tuple[ExperimentConfig, int]:
+def _load(args: argparse.Namespace) -> ExperimentConfig:
     config = load_experiment(args.config)
-    seed = config.seed if args.seed is None else args.seed
-    return config, seed
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    return config
 
 
 def _say(args: argparse.Namespace, line: str) -> None:
@@ -76,8 +77,8 @@ def _say(args: argparse.Namespace, line: str) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config, seed = _load(args)
-    reports = run_policies(config, seed)
+    config = _load(args)
+    reports = run_policies(config)
     os.makedirs(args.out, exist_ok=True)
     for report in reports:
         path = os.path.join(args.out, f"{report.policy.value}_quanta.csv")
@@ -89,22 +90,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"stalls {m.total_stalls} (wrote {path})",
         )
     summary = os.path.join(args.out, "summary.json")
-    write_summary(config, reports, seed, summary)
+    write_summary(config, reports, summary)
     _say(args, f"wrote {summary}")
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config, seed = _load(args)
+    config = _load(args)
     if len(config.policies) < 2:
         raise ConfigError("config field 'policies': compare needs at least two policies")
-    reports = run_policies(config, seed)
+    reports = run_policies(config)
     metrics = [measure(r, config.warmup_quanta) for r in reports]
     os.makedirs(args.out, exist_ok=True)
     table = os.path.join(args.out, "compare.csv")
     write_compare_csv(metrics, table)
     summary = os.path.join(args.out, "summary.json")
-    write_summary(config, reports, seed, summary)
+    write_summary(config, reports, summary)
     base = metrics[0].throughput
     for m in metrics:
         _say(
@@ -120,8 +121,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config, seed = _load(args)
-    header, rows = run_sweep(config, seed)
+    config = _load(args)
+    header, rows = run_sweep(config)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     write_sweep_csv(header, rows, path)
@@ -130,8 +131,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    config, seed = _load(args)
-    check = run_oracle_check(config, seed)
+    config = _load(args)
+    check = run_oracle_check(config)
     for quantum, serp, opt, ratio in check.rows:
         _say(
             args,

@@ -7,7 +7,7 @@ function, so they are safe to use from any number of concurrent callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 __all__ = [
     "ConfigError",
@@ -95,24 +95,9 @@ class Schedule:
 
     placement: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, tuple[int, int]]) -> "Schedule":
-        """Build from a thread-id -> (processor, slot) mapping."""
-        for t in range(len(mapping)):
-            if t not in mapping:
-                raise InvalidScheduleError(f"thread {t} missing from placement")
-        return cls(tuple((int(p), int(s)) for _, (p, s) in sorted(mapping.items())))
-
     @property
     def num_threads(self) -> int:
         return len(self.placement)
-
-    def processor_of(self, thread: int) -> int:
-        return self.placement[thread][0]
-
-    def threads_on(self, processor: int) -> tuple[int, ...]:
-        """Thread ids placed on a processor, in ascending id order."""
-        return tuple(t for t, (p, _) in enumerate(self.placement) if p == processor)
 
 
 def validate_schedule(schedule: Schedule, config: SystemConfig) -> None:

@@ -48,6 +48,7 @@ cycle-by-cycle engine this one replaced is kept as the test oracle in
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
@@ -63,7 +64,7 @@ from .core import (
     processor_load,
 )
 from .policies import Policy, next_schedule, quantum_seed
-from .workload import ThreadWorkload
+from .workload import ThreadWorkload, pad_workloads
 
 __all__ = [
     "QuantumRecord",
@@ -71,11 +72,7 @@ __all__ = [
     "SimulationTotals",
     "initial_schedule",
     "run_simulation",
-    "throughput",
 ]
-
-# Phase-end cycle of a thread that ran out of phases (repeat off): never.
-_IDLE_FOREVER = 1 << 62
 
 
 def initial_schedule(config: SystemConfig) -> Schedule:
@@ -124,26 +121,6 @@ class SimulationReport:
     totals: SimulationTotals
 
 
-def _check_workloads(workloads: Sequence[ThreadWorkload], config: SystemConfig) -> None:
-    n = config.num_threads
-    if len(workloads) != n:
-        raise ConfigError(
-            f"run needs exactly {n} thread workloads (pad_workloads first), got {len(workloads)}"
-        )
-    for index, w in enumerate(workloads):
-        if w.thread != index:
-            raise ConfigError(
-                f"workload thread ids must be 0..{n - 1} in order; "
-                f"position {index} holds thread {w.thread}"
-            )
-        for ph in w.phases:
-            if ph.demand > config.mshrs_per_processor:
-                raise ConfigError(
-                    f"thread {w.thread}: phase demand {ph.demand} exceeds the "
-                    f"{config.mshrs_per_processor}-entry MSHR pool"
-                )
-
-
 def run_simulation(
     config: SystemConfig,
     workloads: Sequence[ThreadWorkload],
@@ -162,9 +139,15 @@ def run_simulation(
     policy = Policy(policy)
     if total_quanta < 1:
         raise ValueError(f"total_quanta must be >= 1, got {total_quanta}")
-    _check_workloads(workloads, config)
-
     n = config.num_threads
+    if len(workloads) != n:
+        raise ConfigError(
+            f"run needs exactly {n} thread workloads (pad_workloads first), got {len(workloads)}"
+        )
+    # With exactly K*L threads nothing is padded: this only checks the thread
+    # ids and every phase demand against the pool.
+    pad_workloads(workloads, config)
+
     k = config.num_processors
     l = config.slots_per_processor
     mshrs = config.mshrs_per_processor
@@ -184,8 +167,11 @@ def run_simulation(
     phase_idx = [0] * n
     demand = [table[0][1] for table in phase_tables]
     # (first cycle of the thread's next phase, thread), kept sorted: the head
-    # is the earliest phase end, and only a phase end moves it.
+    # is the earliest phase end, and only a phase end moves it.  A thread
+    # that ran out of phases (repeat off) leaves the list; the tail sentinel
+    # is never reached, so the list is never empty.
     phase_ends = sorted((table[0][0], t) for t, table in enumerate(phase_tables))
+    phase_ends.append((math.inf, n))
     frozen = [0] * n  # a migrated thread may not issue before this cycle
     # Whole-run occupancy integrals.  Each update builds a new list, so a
     # reference taken at the window start is a snapshot of that cycle.
@@ -217,7 +203,6 @@ def run_simulation(
                 if idx == len(table):
                     if not repeat[t]:
                         demand[t] = 0
-                        insort(phase_ends, (_IDLE_FOREVER, t))
                         continue
                     idx = 0
                 phase_idx[t] = idx
@@ -331,10 +316,3 @@ def run_simulation(
         per_quantum=tuple(records),
         totals=totals,
     )
-
-
-def throughput(report: SimulationReport) -> float:
-    """Completed requests per simulated cycle."""
-    if report.totals.cycles == 0:
-        raise ValueError("cannot compute throughput of a zero-cycle report")
-    return report.totals.completed / report.totals.cycles

@@ -107,17 +107,13 @@ class ExperimentConfig:
             )
         if not 0 <= self.seed < _MAX_SEED:
             raise ConfigError(f"config field 'seed': must be in [0, 2^64), got {self.seed}")
-        _check_optimal_fits(self.system, self.policies)
-
-
-def _check_optimal_fits(system: SystemConfig, policies: Sequence[Policy]) -> None:
-    """Refuse ``optimal`` on a machine too large for its exhaustive search."""
-    if Policy.OPTIMAL in policies and system.num_threads > MAX_EXHAUSTIVE_THREADS:
-        raise ConfigError(
-            f"config field 'policies': optimal needs K*L <= {MAX_EXHAUSTIVE_THREADS} "
-            f"threads, the machine has {system.num_processors}*"
-            f"{system.slots_per_processor} = {system.num_threads}"
-        )
+        system = self.system
+        if Policy.OPTIMAL in self.policies and system.num_threads > MAX_EXHAUSTIVE_THREADS:
+            raise ConfigError(
+                f"config field 'policies': optimal needs K*L <= {MAX_EXHAUSTIVE_THREADS} "
+                f"threads, the machine has {system.num_processors}*"
+                f"{system.slots_per_processor} = {system.num_threads}"
+            )
 
 
 def _fail(field: str, problem: str) -> ConfigError:
@@ -343,12 +339,11 @@ def measure(report: SimulationReport, warmup_quanta: int = 0) -> PolicyMetrics:
     )
 
 
-def run_policies(config: ExperimentConfig, seed: int | None = None) -> list[SimulationReport]:
+def run_policies(config: ExperimentConfig) -> list[SimulationReport]:
     """Run every listed policy on identical padded workloads and seed."""
-    effective_seed = config.seed if seed is None else seed
     padded = pad_workloads(config.workloads, config.system)
     return [
-        run_simulation(config.system, padded, policy, effective_seed, config.quanta)
+        run_simulation(config.system, padded, policy, config.seed, config.quanta)
         for policy in config.policies
     ]
 
@@ -394,10 +389,7 @@ def write_compare_csv(metrics: Sequence[PolicyMetrics], path: str) -> None:
 
 
 def write_summary(
-    config: ExperimentConfig,
-    reports: Sequence[SimulationReport],
-    seed: int,
-    path: str,
+    config: ExperimentConfig, reports: Sequence[SimulationReport], path: str
 ) -> None:
     """JSON run summary: config echo plus whole-run and post-warmup metrics."""
     policies = {}
@@ -420,7 +412,7 @@ def write_summary(
         "policies": [p.value for p in config.policies],
         "quanta": config.quanta,
         "warmup_quanta": config.warmup_quanta,
-        "seed": seed,
+        "seed": config.seed,
         "threads": config.system.num_threads,
         "results": policies,
     }
@@ -435,46 +427,43 @@ def _sweep_points(config: ExperimentConfig):
         yield dict(zip(keys, combo))
 
 
-def run_sweep(
-    config: ExperimentConfig, seed: int | None = None
-) -> tuple[tuple[str, ...], list[tuple]]:
+def run_sweep(config: ExperimentConfig) -> tuple[tuple[str, ...], list[tuple]]:
     """Cartesian product over the swept values; rows in (point, policy) order.
 
-    Returns (header, rows).  Each point rebuilds the machine config, so
-    swept shapes revalidate and repad; every point is checked before any
-    runs, and one that violates an invariant aborts the sweep with the
-    offending values named.
+    Returns (header, rows).  Each point is a new ``ExperimentConfig``, so it
+    is checked exactly as a loaded config is, and runs as ``run_policies``
+    runs a config.  Every point, its workloads padded for its machine
+    included, is checked before any runs, and one that violates an
+    invariant aborts the sweep with the offending values named.
     """
     if not config.sweep:
         raise ConfigError("config field 'sweep': required for a sweep run")
-    base_seed = config.seed if seed is None else seed
     keys = tuple(k for k, _ in config.sweep)
     header = keys + ("policy",) + COMPARE_FIELDS[1:-1]
     points = []
     for point in _sweep_points(config):
         label = ", ".join(f"{k}={v}" for k, v in point.items())
         system_fields = {k: v for k, v in point.items() if k in _SYSTEM_FIELDS}
-        quanta = point.get("quanta", config.quanta)
         try:
-            system = dataclasses.replace(config.system, **system_fields)
-            if config.warmup_quanta >= quanta:
-                raise ConfigError(
-                    f"quanta {quanta} must exceed warmup_quanta {config.warmup_quanta}"
-                )
-            _check_optimal_fits(system, config.policies)
-            padded = pad_workloads(config.workloads, system)
+            point_config = dataclasses.replace(
+                config,
+                system=dataclasses.replace(config.system, **system_fields),
+                quanta=point.get("quanta", config.quanta),
+                seed=point.get("seed", config.seed),
+            )
+            pad_workloads(config.workloads, point_config.system)
         except ConfigError as exc:
             raise ConfigError(f"sweep point ({label}): {exc}") from exc
-        points.append((point, system, padded, quanta, point.get("seed", base_seed)))
+        points.append((point, point_config))
 
     rows: list[tuple] = []
-    for point, system, padded, quanta, point_seed in points:
-        for policy in config.policies:
-            report = run_simulation(system, padded, policy, point_seed, quanta)
+    for point, point_config in points:
+        for report in run_policies(point_config):
             m = measure(report, config.warmup_quanta)
             rows.append(
                 tuple(point[k] for k in keys)
-                + (policy.value, m.throughput, m.total_stalls, m.mean_gap, m.mean_oversubscription)
+                + (report.policy.value, m.throughput, m.total_stalls)
+                + (m.mean_gap, m.mean_oversubscription)
             )
     return header, rows
 
@@ -494,7 +483,7 @@ class OracleCheck:
     corpus_max_ratio: float
 
 
-def run_oracle_check(config: ExperimentConfig, seed: int | None = None) -> OracleCheck:
+def run_oracle_check(config: ExperimentConfig) -> OracleCheck:
     """Drive a serpentine run and score each sampled vector against the oracle.
 
     Ratio convention: a 0/0 quantum (all counters zero) counts as 1.0, since
@@ -506,10 +495,9 @@ def run_oracle_check(config: ExperimentConfig, seed: int | None = None) -> Oracl
         raise ConfigError(
             f"oracle check needs K*L <= {MAX_EXHAUSTIVE_THREADS} threads, config has {n}"
         )
-    effective_seed = config.seed if seed is None else seed
     padded = pad_workloads(config.workloads, config.system)
     report = run_simulation(
-        config.system, padded, Policy.SERPENTINE, effective_seed, config.quanta
+        config.system, padded, Policy.SERPENTINE, config.seed, config.quanta
     )
     system = config.system
     rows = []

@@ -190,7 +190,7 @@ def load_trace(path: str, config: SystemConfig | None = None) -> tuple[ThreadWor
     if len(lines) < 2 or tuple(lines[1].strip().split(",")) != TRACE_FIELDS:
         raise TraceError(f"line 2: expected header {','.join(TRACE_FIELDS)!r}")
 
-    phases: dict[int, list[tuple[int, Phase]]] = {}
+    phases: dict[int, list[Phase]] = {}
     repeats: dict[int, bool] = {}
     for line_no, line in enumerate(lines[2:], start=3):
         if not line.strip():
@@ -207,10 +207,10 @@ def load_trace(path: str, config: SystemConfig | None = None) -> tuple[ThreadWor
         repeat_raw = _parse_int(parts[4], "repeat", line_no)
         if thread < 0:
             raise TraceError(f"line {line_no}: thread must be >= 0, got {thread}")
-        if duration < 1:
-            raise TraceError(f"line {line_no}: duration must be >= 1, got {duration}")
-        if demand < 0:
-            raise TraceError(f"line {line_no}: demand must be >= 0, got {demand}")
+        try:
+            phase = Phase(duration, demand)
+        except ValueError as exc:
+            raise TraceError(f"line {line_no}: {exc}") from exc
         if config is not None and demand > config.mshrs_per_processor:
             raise TraceError(
                 f"line {line_no}: demand {demand} exceeds the "
@@ -228,7 +228,7 @@ def load_trace(path: str, config: SystemConfig | None = None) -> tuple[ThreadWor
                 f"line {line_no}: thread {thread} expected phase {expected_index}, "
                 f"got {phase_index}"
             )
-        phases[thread].append((line_no, Phase(duration, demand)))
+        phases[thread].append(phase)
 
     if not phases:
         raise TraceError("line 3: trace contains no records")
@@ -238,7 +238,7 @@ def load_trace(path: str, config: SystemConfig | None = None) -> tuple[ThreadWor
     return tuple(
         ThreadWorkload(
             thread=t,
-            phases=tuple(ph for _, ph in phases[t]),
+            phases=tuple(phases[t]),
             repeat=repeats[t],
         )
         for t in range(len(phases))

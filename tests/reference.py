@@ -7,23 +7,15 @@ that agreement between the two is evidence, not tautology.
 """
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from mlpsched import (
-    Policy,
-    QuantumRecord,
-    Schedule,
-    SimulationReport,
-    SimulationTotals,
-    SystemConfig,
-    ThreadWorkload,
-    initial_schedule,
-    next_schedule,
-    processor_load,
-    quantum_seed,
-)
+from mlpsched.core import Schedule, SystemConfig, processor_load
+from mlpsched.engine import QuantumRecord, SimulationReport, SimulationTotals, initial_schedule
+from mlpsched.policies import Policy, next_schedule, quantum_seed
+from mlpsched.workload import ThreadWorkload
 
 
 def boustrophedon_rows(values, k):
@@ -113,10 +105,6 @@ def max_sum_of(placement, values, k):
 # nothing is skipped and nothing is multiplied.  ``run_reference`` must give
 # a report equal to ``mlpsched.run_simulation`` on every input.
 
-# Sentinel remaining-duration for threads that ran out of phases (repeat off).
-_IDLE_FOREVER = 1 << 62
-
-
 @dataclass
 class SimState:
     """Mutable engine state; one instance per run, never shared.
@@ -185,7 +173,7 @@ def _advance_phase(state: SimState, t: int) -> None:
     if idx == len(phases):
         if not state.repeat[t]:
             state.demand[t] = 0
-            state.phase_left[t] = _IDLE_FOREVER
+            state.phase_left[t] = math.inf  # out of phases: never ends
             return
         idx = 0
     state.phase_idx[t] = idx

@@ -13,24 +13,18 @@ import random
 import time
 from pathlib import Path
 
-from mlpsched import (
-    ExperimentConfig,
-    Phase,
+from mlpsched.core import SystemConfig, processor_load, validate_schedule
+from mlpsched.engine import run_simulation
+from mlpsched.experiments import ExperimentConfig, run_oracle_check
+from mlpsched.policies import (
     Policy,
-    SystemConfig,
-    ThreadWorkload,
-    WorkloadSpec,
-    generate_synthetic,
     naive_sorted_schedule,
     next_schedule,
     optimal_partition,
-    processor_load,
     random_schedule,
-    run_oracle_check,
-    run_simulation,
     serpentine_schedule,
-    validate_schedule,
 )
+from mlpsched.workload import Phase, ThreadWorkload, WorkloadSpec, generate_synthetic
 from mlpsched.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

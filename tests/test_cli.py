@@ -205,3 +205,26 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.json").exists()
+
+
+def test_non_repeating_thread_with_quanta_past_2_62_cycles_finishes(tmp_path):
+    # A thread that ran out of phases holds no pending event, so a run may
+    # cross any cycle count, 2^62 included.
+    doc = {
+        "system": {"num_processors": 1, "slots_per_processor": 1, "quantum_cycles": 1 << 62},
+        "workload": {"threads": [{"phases": [[100, 2]], "repeat": False}]},
+        "policies": ["static"],
+        "quanta": 2,
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlpsched", "simulate", "--config", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    totals = json.loads((out / "summary.json").read_text())["results"]["static"]["totals"]
+    assert totals["cycles"] == 1 << 63
+    assert totals["completed"] == 2

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mlpsched import (
+from mlpsched.core import (
     ConfigError,
     InvalidScheduleError,
     Schedule,
@@ -56,20 +56,6 @@ def test_config_is_immutable():
     cfg = SystemConfig()
     with pytest.raises(AttributeError):
         cfg.num_processors = 8
-
-
-def test_schedule_from_mapping_and_accessors():
-    sched = Schedule.from_mapping({0: (0, 0), 2: (1, 0), 1: (0, 1), 3: (1, 1)})
-    assert sched.placement == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert sched.num_threads == 4
-    assert sched.processor_of(2) == 1
-    assert sched.threads_on(0) == (0, 1)
-    assert sched.threads_on(1) == (2, 3)
-
-
-def test_schedule_from_mapping_missing_thread():
-    with pytest.raises(ValueError, match="thread 1"):
-        Schedule.from_mapping({0: (0, 0), 2: (0, 1)})
 
 
 def test_validate_schedule_accepts_valid():

@@ -10,20 +10,15 @@ import random
 
 import pytest
 
-from mlpsched import (
-    ConfigError,
+from mlpsched.core import ConfigError, Schedule, SystemConfig
+from mlpsched.engine import initial_schedule, run_simulation
+from mlpsched.policies import Policy, serpentine_schedule
+from mlpsched.workload import (
     Phase,
-    Policy,
-    Schedule,
-    SystemConfig,
     ThreadWorkload,
     WorkloadSpec,
     generate_synthetic,
-    initial_schedule,
     pad_workloads,
-    run_simulation,
-    serpentine_schedule,
-    throughput,
 )
 
 from reference import SimState, run_reference, sample_mlp, step_cycle
@@ -392,19 +387,15 @@ def test_run_rejects_bad_inputs():
     heavy = (ThreadWorkload(0, constant(17)), ThreadWorkload(1, constant(0)))
     with pytest.raises(ConfigError, match="demand"):
         run_simulation(cfg, heavy, "serpentine")
+    swapped = (ThreadWorkload(1, constant(1)), ThreadWorkload(0, constant(1)))
+    with pytest.raises(ConfigError, match="position 0 holds thread 1"):
+        run_simulation(cfg, swapped, "serpentine")
 
 
-def test_throughput_helper():
+def test_totals_throughput():
     cfg = machine(quantum_cycles=250, window_cycles=250)
     rep = run_simulation(cfg, (ThreadWorkload(0, constant(4)),), "static", 0, 4)
-    assert throughput(rep) == 36 / 1000
-    fake = dataclasses.replace(
-        rep, totals=dataclasses.replace(rep.totals, completed=40, cycles=1000)
-    )
-    assert throughput(fake) == 0.04
-    zero = dataclasses.replace(rep, totals=dataclasses.replace(rep.totals, cycles=0))
-    with pytest.raises(ValueError, match="zero-cycle"):
-        throughput(zero)
+    assert rep.totals.throughput == 36 / 1000
 
 
 def random_machine(rng, policy):

@@ -8,33 +8,24 @@ from pathlib import Path
 
 import pytest
 
-from mlpsched import (
-    ConfigError,
-    ExperimentConfig,
-    Phase,
-    Policy,
-    SystemConfig,
-    ThreadWorkload,
-    TraceError,
-    load_experiment,
-    measure,
-    pad_workloads,
-    processor_load,
-    run_oracle_check,
-    run_policies,
-    run_simulation,
-    run_sweep,
-    save_trace,
-    serpentine_schedule,
-)
+from mlpsched.core import ConfigError, SystemConfig, processor_load
+from mlpsched.engine import run_simulation
 import mlpsched.experiments as experiments
 from mlpsched.experiments import (
     COMPARE_FIELDS,
     QUANTA_FIELDS,
+    ExperimentConfig,
+    load_experiment,
+    measure,
+    run_oracle_check,
+    run_policies,
+    run_sweep,
     write_compare_csv,
     write_quanta_csv,
     write_summary,
 )
+from mlpsched.policies import Policy, serpentine_schedule
+from mlpsched.workload import Phase, ThreadWorkload, TraceError, pad_workloads, save_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -293,8 +284,8 @@ def test_summary_is_deterministic_and_complete(tmp_path):
     config = load_experiment(write_config(tmp_path, base_doc(policies=["serpentine", "static"])))
     reports = run_policies(config)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    write_summary(config, reports, config.seed, str(a))
-    write_summary(config, reports, config.seed, str(b))
+    write_summary(config, reports, str(a))
+    write_summary(config, reports, str(b))
     assert a.read_bytes() == b.read_bytes()
     doc = json.loads(a.read_text())
     assert doc["policies"] == ["serpentine", "static"]
@@ -343,6 +334,24 @@ def test_sweep_rejects_optimal_point_before_any_point_runs(tmp_path, monkeypatch
     runs = []
     monkeypatch.setattr(experiments, "run_simulation", lambda *args: runs.append(args))
     with pytest.raises(ConfigError, match=r"sweep point \(num_processors=4\): .*'policies': optimal"):
+        run_sweep(config)
+    assert runs == []
+
+
+@pytest.mark.parametrize(
+    "key, bad, field",
+    [("seed", -5, "seed"), ("seed", 1 << 64, "seed"), ("quanta", 1, "warmup_quanta")],
+)
+def test_sweep_checks_every_point_as_a_config_before_any_runs(
+    tmp_path, monkeypatch, key, bad, field
+):
+    # the bad value is the last point; it is refused as in a loaded config
+    doc = base_doc(quanta=3, warmup_quanta=1, sweep={key: [3, bad]})
+    config = load_experiment(write_config(tmp_path, doc))
+    runs = []
+    monkeypatch.setattr(experiments, "run_simulation", lambda *args: runs.append(args))
+    expected = rf"sweep point \({key}={bad}\): config field '{field}'"
+    with pytest.raises(ConfigError, match=expected):
         run_sweep(config)
     assert runs == []
 

@@ -7,20 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from mlpsched import (
+from mlpsched.core import Schedule, SystemConfig, processor_load, validate_schedule
+from mlpsched.policies import (
     Policy,
-    Schedule,
-    SystemConfig,
     naive_sorted_schedule,
     next_schedule,
     optimal_partition,
-    processor_load,
     quantum_seed,
     random_schedule,
     round_robin_schedule,
     serpentine_schedule,
     static_schedule,
-    validate_schedule,
 )
 
 
@@ -33,7 +30,10 @@ ORACLE_SHAPES = [(k, l) for k in range(1, 13) for l in range(1, 13) if k * l <= 
 
 
 def groups_of(schedule, k):
-    return [set(schedule.threads_on(p)) for p in range(k)]
+    groups = [set() for _ in range(k)]
+    for t, (p, _) in enumerate(schedule.placement):
+        groups[p].add(t)
+    return groups
 
 
 # serpentine

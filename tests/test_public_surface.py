@@ -1,0 +1,41 @@
+"""Names that code outside the package relies on: the README and the benchmark."""
+
+import ast
+import re
+import types
+from pathlib import Path
+
+import mlpsched
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_example():
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return block
+
+
+def test_readme_example_runs_and_imports_exactly_the_package_names(capsys):
+    source = readme_example()
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "mlpsched"
+        for alias in node.names
+    }
+    assert imported == set(mlpsched.__all__) - {"__version__"}
+    exec(compile(source, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and float(lines[0]) > 0
+
+
+def test_benchmark_hooks_exist():
+    # perfbench/traced.py rebinds each WRAPPED name in its module; a missing
+    # name makes every traced benchmark run fail.  The file is compiled from
+    # its text, so no bytecode is written next to it.
+    path = ROOT / "perfbench" / "traced.py"
+    traced = types.ModuleType("traced")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), traced.__dict__)
+    assert traced.WRAPPED
+    for module, name, _layer, _describe in traced.WRAPPED:
+        assert callable(getattr(module, name)), f"{module.__name__}.{name}"

@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from mlpsched import (
-    ConfigError,
+from mlpsched.core import ConfigError, SystemConfig
+from mlpsched.workload import (
     Phase,
-    SystemConfig,
     ThreadWorkload,
     TraceError,
     WorkloadSpec,
@@ -154,6 +153,17 @@ def test_load_trace_names_line_and_field(tmp_path):
         load_trace(path)
     assert "line 3" in str(err.value)
     assert "demand" in str(err.value)
+
+
+def test_load_trace_names_line_for_zero_duration(tmp_path):
+    path = tmp_path / "bad.trace"
+    path.write_text(
+        TRACE_VERSION_LINE + "\nthread,phase,duration,demand,repeat\n0,0,10,4,1\n0,1,0,4,1\n"
+    )
+    with pytest.raises(TraceError) as err:
+        load_trace(path)
+    assert "line 4" in str(err.value)
+    assert "duration" in str(err.value)
 
 
 def test_load_trace_rejects_non_integer_field(tmp_path):
