@@ -23,8 +23,11 @@ The engine does not step every cycle (next-event time advance; Law and
 Kelton, *Simulation Modeling and Analysis*, ch. 1).  It runs steps 1 and 2
 only at event cycles, the earliest of: some pool's head completion, some
 thread's phase end, a migrated thread's unfreeze, the window start and the
-quantum boundary.  Across the idle cycles up to the next event the result
-is the same as stepping them one by one, for these reasons:
+quantum boundary.  A constant thread, one whose single phase repeats, keeps
+its demand for the whole run, so its phase ends are no events; idle padding
+threads and the config's ``demands`` shorthand are such threads.  Across
+the idle cycles up to the next event the result is the same as stepping
+them one by one, for these reasons:
 
 * nothing retires, so no outstanding count falls and no MSHR frees;
 * no demand changes, no thread unfreezes and the placement is fixed;
@@ -56,7 +59,6 @@ from operator import add
 from typing import Sequence
 
 from .core import (
-    ConfigError,
     MlpVector,
     Schedule,
     ScheduleQuality,
@@ -130,8 +132,10 @@ def run_simulation(
 ) -> SimulationReport:
     """Drive the feedback loop: simulate a quantum, sample counters, reschedule.
 
-    The first quantum starts from the row-major placement.  At each boundary
-    the sampled counters feed the policy (the random policy draws with
+    ``workloads`` may list fewer than K*L threads; ``pad_workloads`` checks
+    them and fills the remaining slots with idle threads.  The first quantum
+    starts from the row-major placement.  At each boundary the sampled
+    counters feed the policy (the random policy draws with
     ``quantum_seed(seed, q)``); threads whose processor changed are frozen
     for ``migration_penalty`` cycles while their in-flight requests drain on
     the old pool.  The report is deterministic in every argument.
@@ -139,14 +143,8 @@ def run_simulation(
     policy = Policy(policy)
     if total_quanta < 1:
         raise ValueError(f"total_quanta must be >= 1, got {total_quanta}")
+    workloads = pad_workloads(workloads, config)
     n = config.num_threads
-    if len(workloads) != n:
-        raise ConfigError(
-            f"run needs exactly {n} thread workloads (pad_workloads first), got {len(workloads)}"
-        )
-    # With exactly K*L threads nothing is padded: this only checks the thread
-    # ids and every phase demand against the pool.
-    pad_workloads(workloads, config)
 
     k = config.num_processors
     l = config.slots_per_processor
@@ -168,9 +166,14 @@ def run_simulation(
     demand = [table[0][1] for table in phase_tables]
     # (first cycle of the thread's next phase, thread), kept sorted: the head
     # is the earliest phase end, and only a phase end moves it.  A thread
-    # that ran out of phases (repeat off) leaves the list; the tail sentinel
-    # is never reached, so the list is never empty.
-    phase_ends = sorted((table[0][0], t) for t, table in enumerate(phase_tables))
+    # that ran out of phases (repeat off) leaves the list, and a constant
+    # thread (one repeating phase) never enters it; the tail sentinel is
+    # never reached, so the list is never empty.
+    phase_ends = sorted(
+        (table[0][0], t)
+        for t, table in enumerate(phase_tables)
+        if len(table) > 1 or not repeat[t]
+    )
     phase_ends.append((math.inf, n))
     frozen = [0] * n  # a migrated thread may not issue before this cycle
     # Whole-run occupancy integrals.  Each update builds a new list, so a

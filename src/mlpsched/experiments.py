@@ -83,8 +83,9 @@ _MAX_SEED = 1 << 64
 class ExperimentConfig:
     """One experiment: machine, workloads (unpadded), policies, run lengths.
 
-    Workloads are materialized at load time but padded to K*L threads only
-    at run time, so a sweep may change the machine shape.
+    The workloads are checked against the machine here, so every loaded
+    config, ``--seed`` override and sweep point (each a ``dataclasses.replace``
+    of the config) is checked; they are padded to K*L threads at run time.
     """
 
     system: SystemConfig
@@ -114,6 +115,10 @@ class ExperimentConfig:
                 f"threads, the machine has {system.num_processors}*"
                 f"{system.slots_per_processor} = {system.num_threads}"
             )
+        try:
+            pad_workloads(self.workloads, system)
+        except ConfigError as exc:
+            raise ConfigError(f"config field 'workload': {exc}") from exc
 
 
 def _fail(field: str, problem: str) -> ConfigError:
@@ -144,6 +149,15 @@ def _as_range(value, field: str) -> tuple[int, int]:
     return (_as_int(value[0], field), _as_int(value[1], field))
 
 
+# The WorkloadSpec fields of the ``workload.synthetic`` section, each with its parser.
+_SPEC_PARSERS = {
+    "phases_per_thread": _as_int,
+    "duration_range": _as_range,
+    "demand_range": _as_range,
+    "repeat": _as_bool,
+}
+
+
 def _reject_unknown(section: dict, known: Sequence[str], field: str) -> None:
     for key in section:
         if key not in known:
@@ -170,7 +184,7 @@ def _parse_phases(raw, field: str) -> tuple[Phase, ...]:
     return tuple(phases)
 
 
-def _parse_workloads(section, system: SystemConfig, config_dir: str) -> tuple[ThreadWorkload, ...]:
+def _parse_workloads(section, config_dir: str) -> tuple[ThreadWorkload, ...]:
     """Materialize the workload source; exactly one source form is allowed.
 
     Forms: ``trace`` (path, relative to the config file), ``synthetic``
@@ -190,31 +204,20 @@ def _parse_workloads(section, system: SystemConfig, config_dir: str) -> tuple[Th
         if not isinstance(raw, str):
             raise _fail("workload.trace", f"expected a path string, got {raw!r}")
         path = raw if os.path.isabs(raw) else os.path.join(config_dir, raw)
-        return load_trace(path, system)
+        return load_trace(path)
 
     if form == "synthetic":
         raw = _as_mapping(raw, "workload.synthetic")
-        known = ("n_threads", "seed", "phases_per_thread", "duration_range", "demand_range", "repeat")
-        _reject_unknown(raw, known, "workload.synthetic")
+        _reject_unknown(raw, ("n_threads", "seed", *_SPEC_PARSERS), "workload.synthetic")
         if "n_threads" not in raw:
             raise _fail("workload.synthetic.n_threads", "required")
         n_threads = _as_int(raw["n_threads"], "workload.synthetic.n_threads")
         seed = _as_int(raw.get("seed", 0), "workload.synthetic.seed")
-        spec_kwargs = {}
-        if "phases_per_thread" in raw:
-            spec_kwargs["phases_per_thread"] = _as_int(
-                raw["phases_per_thread"], "workload.synthetic.phases_per_thread"
-            )
-        if "duration_range" in raw:
-            spec_kwargs["duration_range"] = _as_range(
-                raw["duration_range"], "workload.synthetic.duration_range"
-            )
-        if "demand_range" in raw:
-            spec_kwargs["demand_range"] = _as_range(
-                raw["demand_range"], "workload.synthetic.demand_range"
-            )
-        if "repeat" in raw:
-            spec_kwargs["repeat"] = _as_bool(raw["repeat"], "workload.synthetic.repeat")
+        spec_kwargs = {
+            key: parse(raw[key], f"workload.synthetic.{key}")
+            for key, parse in _SPEC_PARSERS.items()
+            if key in raw
+        }
         try:
             spec = WorkloadSpec(**spec_kwargs)
             return generate_synthetic(spec, n_threads, seed)
@@ -281,6 +284,8 @@ def load_experiment(path: str) -> ExperimentConfig:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path}: not valid JSON ({exc})") from exc
+        except RecursionError:
+            raise ConfigError(f"config {path}: nested too deeply to parse") from None
     doc = _as_mapping(doc, "<document>")
     known = ("system", "workload", "policies", "quanta", "warmup_quanta", "seed", "sweep")
     _reject_unknown(doc, known, "")
@@ -288,11 +293,9 @@ def load_experiment(path: str) -> ExperimentConfig:
         if required not in doc:
             raise _fail(required, "required")
 
-    system = _parse_system(doc.get("system", {}))
-    workloads = _parse_workloads(doc["workload"], system, os.path.dirname(os.path.abspath(path)))
     return ExperimentConfig(
-        system=system,
-        workloads=workloads,
+        system=_parse_system(doc.get("system", {})),
+        workloads=_parse_workloads(doc["workload"], os.path.dirname(os.path.abspath(path))),
         policies=_parse_policies(doc["policies"]),
         quanta=_as_int(doc.get("quanta", 1), "quanta"),
         warmup_quanta=_as_int(doc.get("warmup_quanta", 0), "warmup_quanta"),
@@ -340,10 +343,9 @@ def measure(report: SimulationReport, warmup_quanta: int = 0) -> PolicyMetrics:
 
 
 def run_policies(config: ExperimentConfig) -> list[SimulationReport]:
-    """Run every listed policy on identical padded workloads and seed."""
-    padded = pad_workloads(config.workloads, config.system)
+    """Run every listed policy on identical workloads and seed."""
     return [
-        run_simulation(config.system, padded, policy, config.seed, config.quanta)
+        run_simulation(config.system, config.workloads, policy, config.seed, config.quanta)
         for policy in config.policies
     ]
 
@@ -432,7 +434,7 @@ def run_sweep(config: ExperimentConfig) -> tuple[tuple[str, ...], list[tuple]]:
 
     Returns (header, rows).  Each point is a new ``ExperimentConfig``, so it
     is checked exactly as a loaded config is, and runs as ``run_policies``
-    runs a config.  Every point, its workloads padded for its machine
+    runs a config.  Every point, its workloads against its machine
     included, is checked before any runs, and one that violates an
     invariant aborts the sweep with the offending values named.
     """
@@ -451,7 +453,6 @@ def run_sweep(config: ExperimentConfig) -> tuple[tuple[str, ...], list[tuple]]:
                 quanta=point.get("quanta", config.quanta),
                 seed=point.get("seed", config.seed),
             )
-            pad_workloads(config.workloads, point_config.system)
         except ConfigError as exc:
             raise ConfigError(f"sweep point ({label}): {exc}") from exc
         points.append((point, point_config))
@@ -495,9 +496,8 @@ def run_oracle_check(config: ExperimentConfig) -> OracleCheck:
         raise ConfigError(
             f"oracle check needs K*L <= {MAX_EXHAUSTIVE_THREADS} threads, config has {n}"
         )
-    padded = pad_workloads(config.workloads, config.system)
     report = run_simulation(
-        config.system, padded, Policy.SERPENTINE, config.seed, config.quanta
+        config.system, config.workloads, Policy.SERPENTINE, config.seed, config.quanta
     )
     system = config.system
     rows = []

@@ -75,22 +75,16 @@ class ThreadWorkload:
 class WorkloadSpec:
     """Per-thread template for synthetic generation.
 
-    Either ``explicit_phases`` (every thread gets exactly that list) or a
-    template of ``phases_per_thread`` phases with durations and demands drawn
-    uniformly from the inclusive ranges.
+    Every thread gets ``phases_per_thread`` phases with durations and demands
+    drawn uniformly from the inclusive ranges.
     """
 
     phases_per_thread: int = 1
     duration_range: tuple[int, int] = (10_000, 10_000)
     demand_range: tuple[int, int] = (0, 8)
-    explicit_phases: tuple[Phase, ...] | None = None
     repeat: bool = True
 
     def __post_init__(self) -> None:
-        if self.explicit_phases is not None:
-            if not self.explicit_phases:
-                raise ValueError("explicit_phases must be non-empty when given")
-            return
         if self.phases_per_thread < 1:
             raise ValueError(f"phases_per_thread must be >= 1, got {self.phases_per_thread}")
         lo, hi = self.duration_range
@@ -112,16 +106,13 @@ def generate_synthetic(spec: WorkloadSpec, n_threads: int, seed: int) -> tuple[T
     rng = random.Random(seed)
     out = []
     for t in range(n_threads):
-        if spec.explicit_phases is not None:
-            phases = spec.explicit_phases
-        else:
-            phases = tuple(
-                Phase(
-                    duration=rng.randint(*spec.duration_range),
-                    demand=rng.randint(*spec.demand_range),
-                )
-                for _ in range(spec.phases_per_thread)
+        phases = tuple(
+            Phase(
+                duration=rng.randint(*spec.duration_range),
+                demand=rng.randint(*spec.demand_range),
             )
+            for _ in range(spec.phases_per_thread)
+        )
         out.append(ThreadWorkload(thread=t, phases=phases, repeat=spec.repeat))
     return tuple(out)
 
@@ -129,11 +120,11 @@ def generate_synthetic(spec: WorkloadSpec, n_threads: int, seed: int) -> tuple[T
 def pad_workloads(
     workloads: Sequence[ThreadWorkload], config: SystemConfig
 ) -> tuple[ThreadWorkload, ...]:
-    """Pad a scenario with idle threads up to the machine's K*L slots.
+    """Check a scenario against a machine and pad it with idle threads to K*L.
 
-    Thread ids must already be 0..len-1 in order.  Supplying more threads
-    than slots is a configuration error; demands are checked against the
-    per-processor MSHR pool.
+    This is the one check of workloads against a machine: thread ids must be
+    0..len-1 in order, there may be at most K*L threads, and no phase demand
+    may exceed the per-processor MSHR pool.
     """
     n = config.num_threads
     if len(workloads) > n:
@@ -141,17 +132,18 @@ def pad_workloads(
             f"scenario supplies {len(workloads)} threads but the machine has "
             f"{config.num_processors}*{config.slots_per_processor} = {n} slots"
         )
+    mshrs = config.mshrs_per_processor
     for index, w in enumerate(workloads):
         if w.thread != index:
             raise ConfigError(
                 f"workload thread ids must be 0..{len(workloads) - 1} in order; "
                 f"position {index} holds thread {w.thread}"
             )
-        for ph in w.phases:
-            if ph.demand > config.mshrs_per_processor:
+        for i, ph in enumerate(w.phases):
+            if ph.demand > mshrs:
                 raise ConfigError(
-                    f"thread {w.thread}: phase demand {ph.demand} exceeds the "
-                    f"{config.mshrs_per_processor}-entry MSHR pool"
+                    f"thread {w.thread} phase {i}: demand {ph.demand} exceeds the "
+                    f"{mshrs}-entry MSHR pool"
                 )
     idle = tuple(
         ThreadWorkload(thread=t, phases=(Phase(IDLE_PHASE_DURATION, 0),), repeat=True)
@@ -177,11 +169,11 @@ def _parse_int(raw: str, field: str, line_no: int) -> int:
         raise TraceError(f"line {line_no}: {field} must be an integer, got {raw!r}") from None
 
 
-def load_trace(path: str, config: SystemConfig | None = None) -> tuple[ThreadWorkload, ...]:
+def load_trace(path: str) -> tuple[ThreadWorkload, ...]:
     """Load a trace file; the inverse of ``save_trace`` on valid scenarios.
 
     Errors name the offending physical line (the version line is line 1).
-    When a config is given, demands are checked against its MSHR pool.
+    Demands are checked against a machine's pool by ``pad_workloads``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -211,11 +203,6 @@ def load_trace(path: str, config: SystemConfig | None = None) -> tuple[ThreadWor
             phase = Phase(duration, demand)
         except ValueError as exc:
             raise TraceError(f"line {line_no}: {exc}") from exc
-        if config is not None and demand > config.mshrs_per_processor:
-            raise TraceError(
-                f"line {line_no}: demand {demand} exceeds the "
-                f"{config.mshrs_per_processor}-entry MSHR pool"
-            )
         if repeat_raw not in (0, 1):
             raise TraceError(f"line {line_no}: repeat must be 0 or 1, got {repeat_raw}")
         repeat = bool(repeat_raw)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mlpsched.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -134,6 +136,14 @@ def test_missing_config_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_deeply_nested_config_exits_one_naming_path(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config {path}: nested too deeply to parse\n"
+
+
 def test_bad_config_field_exits_one_naming_field(tmp_path, capsys):
     doc = small_doc()
     doc["system"]["num_processors"] = 0
@@ -228,3 +238,34 @@ def test_non_repeating_thread_with_quanta_past_2_62_cycles_finishes(tmp_path):
     totals = json.loads((out / "summary.json").read_text())["results"]["static"]["totals"]
     assert totals["cycles"] == 1 << 63
     assert totals["completed"] == 2
+
+
+@pytest.mark.parametrize(
+    "workload, completed",
+    [
+        ({"demands": [0, 0]}, 0),
+        ({"threads": [{"phases": [[100, 2]], "repeat": False}]}, 2),
+    ],
+    ids=["demands", "padded"],
+)
+def test_constant_threads_with_quanta_past_2_62_cycles_finish(tmp_path, workload, completed):
+    # A thread whose one phase repeats (a demands entry, an idle padding
+    # thread) never changes its demand, so it raises no phase-end events.
+    doc = {
+        "system": {"num_processors": 1, "slots_per_processor": 2, "quantum_cycles": 1 << 62},
+        "workload": workload,
+        "policies": ["static"],
+        "quanta": 2,
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlpsched", "simulate", "--config", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    totals = json.loads((out / "summary.json").read_text())["results"]["static"]["totals"]
+    assert totals["cycles"] == 1 << 63
+    assert totals["completed"] == completed

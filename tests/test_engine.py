@@ -374,12 +374,22 @@ def test_run_is_deterministic():
     assert [r.chosen for r in a.per_quantum] != [r.chosen for r in c.per_quantum]
 
 
+def test_run_pads_too_few_threads():
+    cfg = machine(num_processors=2, quantum_cycles=300, window_cycles=100)
+    workloads = (ThreadWorkload(0, (Phase(40, 3), Phase(70, 1))),)
+    padded = pad_workloads(workloads, cfg)
+    assert len(padded) == 2
+    assert run_simulation(cfg, workloads, "serpentine", 0, 4) == run_simulation(
+        cfg, padded, "serpentine", 0, 4
+    )
+
+
 def test_run_rejects_bad_inputs():
     cfg = machine(num_processors=2)
-    workloads = (ThreadWorkload(0, constant(1)),)  # too few threads
-    with pytest.raises(ConfigError, match="pad_workloads"):
-        run_simulation(cfg, workloads, "serpentine")
-    padded = pad_workloads(workloads, cfg)
+    padded = pad_workloads((ThreadWorkload(0, constant(1)),), cfg)
+    too_many = padded + (ThreadWorkload(2, constant(1)),)
+    with pytest.raises(ConfigError, match="3 threads but the machine has 2"):
+        run_simulation(cfg, too_many, "serpentine")
     with pytest.raises(ValueError):
         run_simulation(cfg, padded, "no_such_policy")
     with pytest.raises(ValueError, match="total_quanta"):

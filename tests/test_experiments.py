@@ -25,7 +25,7 @@ from mlpsched.experiments import (
     write_summary,
 )
 from mlpsched.policies import Policy, serpentine_schedule
-from mlpsched.workload import Phase, ThreadWorkload, TraceError, pad_workloads, save_trace
+from mlpsched.workload import Phase, ThreadWorkload, pad_workloads, save_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -182,10 +182,26 @@ def test_load_rejects_optimal_on_machine_above_exhaustive_cap(tmp_path):
     assert load_experiment(write_config(tmp_path, doc)).system.num_threads == 12
 
 
-def test_load_trace_demand_cap_applies(tmp_path):
-    save_trace((ThreadWorkload(0, (Phase(10, 20),)),), tmp_path / "w.trace")
-    doc = base_doc(workload={"trace": "w.trace"})
-    with pytest.raises(TraceError, match="demand"):
+@pytest.mark.parametrize(
+    "form, where",
+    [
+        ({"demands": [1, 6]}, "thread 1 phase 0"),
+        ({"threads": [{"phases": [[10, 1]]}, {"phases": [[10, 2], [10, 6]]}]}, "thread 1 phase 1"),
+        ({"synthetic": {"n_threads": 2, "demand_range": [6, 6]}}, "thread 0 phase 0"),
+        ("trace", "thread 1 phase 1"),
+    ],
+    ids=["demands", "threads", "synthetic", "trace"],
+)
+def test_over_pool_workload_is_refused_at_load_in_every_form(tmp_path, form, where):
+    # every sweep point would fit; the config's own machine does not
+    if form == "trace":
+        phases = ((Phase(10, 1),), (Phase(10, 2), Phase(10, 6)))
+        save_trace(tuple(ThreadWorkload(t, p) for t, p in enumerate(phases)), tmp_path / "w.trace")
+        form = {"trace": "w.trace"}
+    doc = base_doc(workload=form, sweep={"mshrs_per_processor": [8, 16]})
+    doc["system"]["mshrs_per_processor"] = 4
+    expected = rf"^config field 'workload': {where}: demand 6 exceeds the 4-entry MSHR pool$"
+    with pytest.raises(ConfigError, match=expected):
         load_experiment(write_config(tmp_path, doc))
 
 

@@ -50,16 +50,6 @@ def test_workload_spec_validation():
         WorkloadSpec(demand_range=(-1, 3))
     with pytest.raises(ValueError, match="phases_per_thread"):
         WorkloadSpec(phases_per_thread=0)
-    with pytest.raises(ValueError, match="explicit_phases"):
-        WorkloadSpec(explicit_phases=())
-
-
-def test_generate_explicit_passthrough():
-    spec = WorkloadSpec(explicit_phases=(Phase(1_000_000, 4),))
-    (wl,) = generate_synthetic(spec, n_threads=1, seed=0)
-    assert wl.thread == 0
-    assert wl.phases == (Phase(1_000_000, 4),)
-    assert wl.repeat is True
 
 
 def test_generate_deterministic():
@@ -198,12 +188,14 @@ def test_load_trace_rejects_missing_thread(tmp_path):
 
 
 def test_load_trace_demand_cap_against_config(tmp_path):
+    # load_trace knows no machine; pad_workloads checks the demands against
+    # one and names the thread and phase, so the trace row can be found
     path = tmp_path / "t.trace"
-    save_trace((ThreadWorkload(0, (Phase(3, 12),)),), path)
-    load_trace(path)  # no config, no cap
+    save_trace((ThreadWorkload(0, (Phase(3, 1), Phase(3, 12))),), path)
+    workloads = load_trace(path)
     small = SystemConfig(mshrs_per_processor=8)
-    with pytest.raises(TraceError, match="demand"):
-        load_trace(path, small)
+    with pytest.raises(ConfigError, match="thread 0 phase 1: demand 12 exceeds the 8-entry MSHR pool"):
+        pad_workloads(workloads, small)
 
 
 def test_load_trace_inconsistent_repeat_flag(tmp_path):
