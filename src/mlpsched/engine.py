@@ -20,28 +20,49 @@ The model is defined cycle by cycle.  Each cycle applies, in this order:
 4. advance phase clocks and the cycle counter.
 
 The engine does not step every cycle (next-event time advance; Law and
-Kelton, *Simulation Modeling and Analysis*, ch. 1).  It runs steps 1 and 2
-only at event cycles, the earliest of: some pool's head completion, some
-thread's phase end, a migrated thread's unfreeze, the window start and the
-quantum boundary.  A constant thread, one whose single phase repeats, keeps
-its demand for the whole run, so its phase ends are no events; idle padding
-threads and the config's ``demands`` shorthand are such threads.  Across
-the idle cycles up to the next event the result is the same as stepping
-them one by one, for these reasons:
+Kelton, *Simulation Modeling and Analysis*, ch. 1), and at an event it
+steps only the processors the event touches.  Three rules keep the result
+equal to stepping every processor on every cycle.
 
-* nothing retires, so no outstanding count falls and no MSHR frees;
-* no demand changes, no thread unfreezes and the placement is fixed;
-* the issue round at the last event ran until each pool was full or every
-  eligible resident had reached its demand, so an idle cycle would grant
-  nothing, whatever its start slot;
-* hence the outstanding counts and pool sizes stay constant, and the
-  threads that stall are exactly those that stalled at the last event.
+*Occupancy is read, not accumulated.*  A request issued at cycle i is
+outstanding at the end of cycles i .. i + latency - 1, so by cycle C it has
+added min(latency, C - i) = latency - (completion - C) to its thread's and
+its pool's integral, or exactly latency once retired.  An owner's integral
+over cycles [0, C) is therefore latency x (requests retired + requests in
+flight) - the sum of (completion - C) over its in-flight requests.  The
+engine reads it from the in-flight FIFO at the two cycles that need it: the
+window start and the quantum boundary (the windowed sum a quantum samples is
+the growth in between), and the pools' integrals once, at the end.
 
-So the event cycle and the D - 1 idle cycles after it add D times each
-outstanding count to the thread's occupancy integral, D times each pool's
-size to its pool integral, and D to the stall count of each thread left
-wanting at a full pool.  The window start is an event: the windowed sum a
-quantum samples is the growth of the occupancy integral since then.
+*Events.*  Retire and issue run only at event cycles, the earliest of: the
+FIFO's head completion, some thread's phase end, a migrated thread's
+unfreeze, the window start and the quantum boundary.  A constant thread, one
+whose single phase repeats, keeps its demand for the whole run, so its phase
+ends are no events; idle padding threads and the config's ``demands``
+shorthand are such threads.  Between two events nothing touches any
+processor (next rule), so the skipped cycles change no count but the
+stalls, which are added in bulk.
+
+*Touched processors.*  A processor's issue round ends with its pool full or
+with every resident at its cap: its demand, or 0 while frozen after a
+migration.  Until one of these happens, a later round would grant nothing
+and leave the same threads wanting, whatever its start slot:
+
+* its pool retires a request (an MSHR frees);
+* a resident's outstanding count falls because a request it issued on its
+  old pool before a migration retires (only groups issued before the
+  quantum start, so completing in its first ``latency`` cycles, can hold
+  one);
+* a resident's cap changes at a phase end or an unfreeze;
+* the placement changes, at the quantum start.
+
+Residents' outstanding counts rise only by this processor's own grants, so
+nothing else changes its round.  At an event the engine steps exactly the
+processors one of these touched, in any order (a round changes only its
+own pool and its residents' counts), and leaves the rest as they were.  Stalls are added
+lazily: each processor keeps the threads its last round left wanting at a
+full pool and the cycle of that round, and those threads gain the cycles up
+to its next round or the quantum boundary, whichever is first.
 
 Everything is integer arithmetic over plain lists, so a run is bitwise
 deterministic in (config, workloads, policy, seed, total_quanta).  The
@@ -55,7 +76,6 @@ import math
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
-from operator import add
 from typing import Sequence
 
 from .core import (
@@ -123,6 +143,21 @@ class SimulationReport:
     totals: SimulationTotals
 
 
+def _occupancy(now, latency, retired_before, retired, outstanding, inflight) -> list[int]:
+    """Each thread's occupancy integral over cycles [0, now).
+
+    A thread's requests issued before ``now`` are those retired in earlier
+    quanta, those retired in this one, and those still in flight; each
+    in-flight request still lacks ``completion - now`` of its ``latency``.
+    """
+    occ = [latency * (a + b + o) for a, b, o in zip(retired_before, retired, outstanding)]
+    for completion, _, threads in inflight:
+        ahead = completion - now
+        for t in threads:
+            occ[t] -= ahead
+    return occ
+
+
 def run_simulation(
     config: SystemConfig,
     workloads: Sequence[ThreadWorkload],
@@ -152,13 +187,17 @@ def run_simulation(
     latency = config.memory_latency
     q_len = config.quantum_cycles
     window = config.window_cycles
+    penalty = config.migration_penalty
 
-    # pools[p] holds (completion_cycle, thread) in issue order; with a fixed
-    # latency that is completion order, so each pool is a FIFO.  A migrated
-    # thread's in-flight requests keep the old pool's MSHRs until they retire.
-    pools = [deque() for _ in range(k)]
+    # In-flight requests as (completion, processor, threads) groups, one per
+    # processor and issue cycle, listing one thread id per request.  All
+    # pools share one latency, so issue order is completion order and one
+    # FIFO serves every pool.  A migrated thread's in-flight requests keep
+    # the old pool's MSHRs until they retire.
+    inflight = deque()
+    used = [0] * k  # MSHRs held, per pool
+    pool_issued = [0] * k  # requests ever issued, per pool
     owners = [[-1] * l for _ in range(k)]  # [processor][slot] -> thread
-    slot_orders = [tuple((start + i) % l for i in range(l)) for start in range(l)]
     outstanding = [0] * n  # per thread, across both pools during a migration
     phase_tables = [[(ph.duration, ph.demand) for ph in w.phases] for w in workloads]
     repeat = [w.repeat for w in workloads]
@@ -176,106 +215,122 @@ def run_simulation(
     )
     phase_ends.append((math.inf, n))
     frozen = [0] * n  # a migrated thread may not issue before this cycle
-    # Whole-run occupancy integrals.  Each update builds a new list, so a
-    # reference taken at the window start is a snapshot of that cycle.
-    occ_total = [0] * n
-    window_base = occ_total
-    proc_total = [0] * k
+    cap = demand[:]  # how many requests a thread may hold: 0 while frozen
+    unfreezes = deque()  # (cycle, threads migrated at one boundary), in order
+    stalled = [[] for _ in range(k)]  # left wanting at a full pool by the last round
+    since = [0] * k  # the cycle of each processor's last round
     completed = [0] * n
     stalls = [0] * n
+    completed_total = [0] * n
+    stalls_total = [0] * n
 
     schedule = initial_schedule(config)
     records: list[QuantumRecord] = []
-    completed_total = [0] * n
-    stalls_total = [0] * n
     cycle = 0
     for q in range(total_quanta):
+        where = [p for p, _ in schedule.placement]
         for t, (p, s) in enumerate(schedule.placement):
             owners[p][s] = t
+        # Each processor's slot ring twice over: rings[p][s:s + l] visits
+        # its slots from start slot s.
+        rings = [owned + owned for owned in owners]
         boundary = cycle + q_len
         window_start = boundary - window
-        # Unfreezes still ahead, latest first; with a penalty above the
-        # quantum an earlier boundary's freeze may still be pending.
-        unfreezes = sorted({f for f in frozen if f > cycle}, reverse=True)
+        # Groups completing before this were issued in an earlier quantum,
+        # so they may hold a migrated thread's requests.
+        drain_end = cycle + latency
+        touched = set(range(k))
 
         while cycle < boundary:
             while phase_ends[0][0] == cycle:
                 t = phase_ends.pop(0)[1]
                 table = phase_tables[t]
                 idx = phase_idx[t] + 1
-                if idx == len(table):
-                    if not repeat[t]:
-                        demand[t] = 0
-                        continue
-                    idx = 0
-                phase_idx[t] = idx
-                duration, demand[t] = table[idx]
-                insort(phase_ends, (cycle + duration, t))
+                if idx < len(table) or repeat[t]:
+                    idx %= len(table)
+                    phase_idx[t] = idx
+                    duration, demand[t] = table[idx]
+                    insort(phase_ends, (cycle + duration, t))
+                else:
+                    demand[t] = 0
+                if frozen[t] <= cycle:
+                    cap[t] = demand[t]
+                    touched.add(where[t])
+            while unfreezes and unfreezes[0][0] == cycle:
+                for t in unfreezes.popleft()[1]:
+                    if frozen[t] == cycle:  # not migrated again since
+                        cap[t] = demand[t]
+                        touched.add(where[t])
             if cycle == window_start:
-                window_base = occ_total
+                window_base = _occupancy(
+                    cycle, latency, completed_total, completed, outstanding, inflight
+                )
+
+            while inflight and inflight[0][0] == cycle:
+                _, p, threads = inflight.popleft()
+                used[p] -= len(threads)
+                for t in threads:
+                    outstanding[t] -= 1
+                    completed[t] += 1
+                touched.add(p)
+                if cycle < drain_end:
+                    touched.update([where[t] for t in threads])
+
+            start = cycle % l
+            completion = cycle + latency
+            for p in touched:
+                wanting = stalled[p]
+                if wanting:
+                    gap = cycle - since[p]
+                    for t in wanting:
+                        stalls[t] += gap
+                since[p] = cycle
+                free = mshrs - used[p]
+                # Single-grant rounds over the rotating slot order split a
+                # scarce pool evenly (within one request) among the wanting
+                # threads; what the last round leaves wanting is the stalls.
+                granted = []
+                wanting = rings[p][start:start + l]
+                while True:
+                    left = []
+                    for t in wanting:
+                        held = outstanding[t]
+                        if held < cap[t]:
+                            if free:
+                                free -= 1
+                                held += 1
+                                outstanding[t] = held
+                                granted.append(t)
+                                if held < cap[t]:
+                                    left.append(t)
+                            else:
+                                left.append(t)
+                    if not (free and left):
+                        break
+                    wanting = left
+                stalled[p] = left
+                if granted:
+                    inflight.append((completion, p, granted))
+                    used[p] += len(granted)
+                    pool_issued[p] += len(granted)
+            touched.clear()
 
             next_event = window_start if cycle < window_start else boundary
             if phase_ends[0][0] < next_event:
                 next_event = phase_ends[0][0]
-            while unfreezes and unfreezes[-1] <= cycle:
-                unfreezes.pop()
-            if unfreezes and unfreezes[-1] < next_event:
-                next_event = unfreezes[-1]
-
-            for pool in pools:
-                while pool and pool[0][0] == cycle:
-                    t = pool.popleft()[1]
-                    outstanding[t] -= 1
-                    completed[t] += 1
-
-            slot_order = slot_orders[cycle % l]
-            stalled = []
-            for p, pool in enumerate(pools):
-                owned = owners[p]
-                free = mshrs - len(pool)
-                if free:
-                    completion = cycle + latency
-                    # Single-grant rounds over the rotating slot order split a
-                    # scarce pool evenly (within one request) among the
-                    # wanting threads.
-                    while free:
-                        granted = False
-                        for s in slot_order:
-                            t = owned[s]
-                            if outstanding[t] < demand[t] and frozen[t] <= cycle:
-                                pool.append((completion, t))
-                                outstanding[t] += 1
-                                free -= 1
-                                granted = True
-                                if not free:
-                                    break
-                        if not granted:
-                            break
-                if not free:
-                    # Pool exhausted: every resident thread still wanting
-                    # stalls, now and on every idle cycle up to the next event.
-                    for s in slot_order:
-                        t = owned[s]
-                        if outstanding[t] < demand[t] and frozen[t] <= cycle:
-                            stalled.append(t)
-                assert len(pool) <= mshrs
-                if pool and pool[0][0] < next_event:
-                    next_event = pool[0][0]
-
-            gap = next_event - cycle
-            if gap == 1:
-                occ_total = list(map(add, occ_total, outstanding))
-                proc_total = list(map(add, proc_total, map(len, pools)))
-                for t in stalled:
-                    stalls[t] += 1
-            else:
-                occ_total = [a + o * gap for a, o in zip(occ_total, outstanding)]
-                proc_total = [a + len(pool) * gap for a, pool in zip(proc_total, pools)]
-                for t in stalled:
-                    stalls[t] += gap
+            if unfreezes and unfreezes[0][0] < next_event:
+                next_event = unfreezes[0][0]
+            if inflight and inflight[0][0] < next_event:
+                next_event = inflight[0][0]
             cycle = next_event
 
-        mlp = tuple((a - b) / window for a, b in zip(occ_total, window_base))
+        for p, wanting in enumerate(stalled):
+            gap = boundary - since[p]
+            for t in wanting:
+                stalls[t] += gap
+        since = [boundary] * k
+        occ = _occupancy(boundary, latency, completed_total, completed, outstanding, inflight)
+        mlp = tuple((a - b) / window for a, b in zip(occ, window_base))
         chosen = next_schedule(policy, mlp, config, schedule, quantum_seed(seed, q))
         quality = processor_load(chosen, mlp, config)
         completed_q = tuple(completed)
@@ -296,19 +351,26 @@ def run_simulation(
             stalls_total[t] += stalls_q[t]
             completed[t] = 0
             stalls[t] = 0
-            if chosen.placement[t][0] != schedule.placement[t][0]:
-                frozen[t] = boundary + config.migration_penalty
+        migrated = [t for t in range(n) if chosen.placement[t][0] != where[t]]
+        if penalty and migrated:
+            for t in migrated:
+                frozen[t] = boundary + penalty
+                cap[t] = 0
+            unfreezes.append((boundary + penalty, migrated))
         schedule = chosen
 
     cycles = total_quanta * q_len
+    pool_total = [latency * issued for issued in pool_issued]
+    for completion, p, threads in inflight:
+        pool_total[p] -= (completion - cycles) * len(threads)
     total_completed = sum(completed_total)
     totals = SimulationTotals(
         completed_per_thread=tuple(completed_total),
         completed=total_completed,
         stall_cycles_per_thread=tuple(stalls_total),
         stall_cycles=sum(stalls_total),
-        occupancy_integral=tuple(occ_total),
-        mean_processor_occupancy=tuple(pt / cycles for pt in proc_total),
+        occupancy_integral=tuple(occ),
+        mean_processor_occupancy=tuple(pt / cycles for pt in pool_total),
         cycles=cycles,
         throughput=total_completed / cycles,
     )

@@ -24,6 +24,7 @@ import dataclasses
 import itertools
 import json
 import os.path
+import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -125,6 +126,19 @@ def _fail(field: str, problem: str) -> ConfigError:
     return ConfigError(f"config field '{field}': {problem}")
 
 
+_SHOWN_CHARS = 60
+
+
+def _shown(value) -> str:
+    """A bad config value for an error message, at most _SHOWN_CHARS long.
+
+    ``reprlib`` caps nesting depth and item counts, so a huge or deeply
+    nested value is never rendered in full before it is cut.
+    """
+    text = reprlib.repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
+
+
 def _as_mapping(value, field: str) -> dict:
     if not isinstance(value, dict):
         raise _fail(field, "expected an object")
@@ -133,19 +147,19 @@ def _as_mapping(value, field: str) -> dict:
 
 def _as_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(field, f"expected an integer, got {value!r}")
+        raise _fail(field, f"expected an integer, got {_shown(value)}")
     return value
 
 
 def _as_bool(value, field: str) -> bool:
     if not isinstance(value, bool):
-        raise _fail(field, f"expected true or false, got {value!r}")
+        raise _fail(field, f"expected true or false, got {_shown(value)}")
     return value
 
 
 def _as_range(value, field: str) -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2:
-        raise _fail(field, f"expected [min, max], got {value!r}")
+        raise _fail(field, f"expected [min, max], got {_shown(value)}")
     return (_as_int(value[0], field), _as_int(value[1], field))
 
 
@@ -202,7 +216,7 @@ def _parse_workloads(section, config_dir: str) -> tuple[ThreadWorkload, ...]:
 
     if form == "trace":
         if not isinstance(raw, str):
-            raise _fail("workload.trace", f"expected a path string, got {raw!r}")
+            raise _fail("workload.trace", f"expected a path string, got {_shown(raw)}")
         path = raw if os.path.isabs(raw) else os.path.join(config_dir, raw)
         return load_trace(path)
 
@@ -261,7 +275,7 @@ def _parse_policies(raw) -> tuple[Policy, ...]:
             out.append(Policy(name))
         except ValueError:
             known = ", ".join(p.value for p in Policy)
-            raise _fail("policies", f"unknown policy {name!r} (known: {known})") from None
+            raise _fail("policies", f"unknown policy {_shown(name)} (known: {known})") from None
     return tuple(out)
 
 

@@ -144,6 +144,19 @@ def test_deeply_nested_config_exits_one_naming_path(tmp_path, capsys):
     assert err == f"error: config {path}: nested too deeply to parse\n"
 
 
+def test_deeply_nested_field_value_is_shown_cut_short(tmp_path, capsys):
+    # json parses a list nested 900 deep; the error names the field and
+    # shows the value cut to a bounded length instead of all 1,800 brackets
+    cfg = tmp_path / "exp.json"
+    nested = "[" * 900 + "]" * 900
+    text = json.dumps(small_doc(quanta=0)).replace('"quanta": 0', '"quanta": ' + nested)
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'quanta': expected an integer, got [[")
+    assert err.count("\n") == 1 and len(err) < 120
+
+
 def test_bad_config_field_exits_one_naming_field(tmp_path, capsys):
     doc = small_doc()
     doc["system"]["num_processors"] = 0

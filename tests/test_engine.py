@@ -9,6 +9,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlpsched.core import ConfigError, Schedule, SystemConfig
 from mlpsched.engine import initial_schedule, run_simulation
@@ -408,16 +409,16 @@ def test_totals_throughput():
     assert rep.totals.throughput == 36 / 1000
 
 
-def random_machine(rng, policy):
+def random_machine(rng, policy, max_k=3, max_l=3, max_m=8):
     """A small random machine and workload; returns run_simulation's arguments.
 
     Latencies and penalties are drawn up to a few quanta, windows are often
     the whole quantum, and phases are often non-repeating, so the corpus
     hits every kind of event, and several at once.
     """
-    k = rng.randint(1, 3)
-    l = rng.randint(1, 3)
-    m = rng.randint(1, 8)
+    k = rng.randint(1, max_k)
+    l = rng.randint(1, max_l)
+    m = rng.randint(1, max_m)
     q_len = rng.randint(1, 60)
     cfg = SystemConfig(
         num_processors=k,
@@ -476,6 +477,50 @@ def test_matches_cycle_by_cycle_reference_on_random_machines():
         seen["window = quantum"] += cfg.window_cycles == cfg.quantum_cycles
         seen["latency > quantum"] += cfg.memory_latency > cfg.quantum_cycles
     assert min(seen.values()) >= 20, seen
+
+
+def test_matches_cycle_by_cycle_reference_on_wider_machines():
+    """Up to 8 processors, 4 slots and 16-entry pools, where an event steps
+    only the processors it touches: the corpus is checked to cover drains
+    that outlive the migration freeze, K >= 4 and latencies over a quantum.
+    ``optimal`` is left out, since most of these machines exceed its cap."""
+    rng = random.Random(2020)
+    policies = [p for p in Policy if p is not Policy.OPTIMAL]
+    seen = dict.fromkeys(("migration, 0 < penalty < latency", "K >= 4", "latency > quantum"), 0)
+    for case in range(200):
+        args = random_machine(rng, policies[case % len(policies)], max_k=8, max_l=4, max_m=16)
+        cfg = args[0]
+        got = run_simulation(*args)
+        assert got == run_reference(*args), f"case {case}: {args}"
+        # a thread busy in the sampled window that then migrates, with a
+        # freeze shorter than the latency, can still hold old-pool requests
+        # when it may issue on its new pool
+        busy_migrant = any(
+            r.chosen.placement[t][0] != r.schedule.placement[t][0] and r.sampled_mlp[t] > 0
+            for r in got.per_quantum[:-1]
+            for t in range(cfg.num_threads)
+        )
+        short_freeze = 0 < cfg.migration_penalty < cfg.memory_latency
+        seen["migration, 0 < penalty < latency"] += busy_migrant and short_freeze
+        seen["K >= 4"] += cfg.num_processors >= 4
+        seen["latency > quantum"] += cfg.memory_latency > cfg.quantum_cycles
+    assert min(seen.values()) >= 20, seen
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(Policy)))
+def test_occupancy_integrals_conserve_and_bound_in_flight_requests(machine_seed, policy):
+    """Every request holds one MSHR for exactly ``memory_latency`` cycles, so
+    the threads' integrals sum to the pools' integral, and a thread's
+    integral exceeds latency x its retired requests by what its in-flight
+    requests (at most one pool's worth) have held so far."""
+    cfg, workloads, policy, seed, quanta = random_machine(random.Random(machine_seed), policy)
+    totals = run_simulation(cfg, workloads, policy, seed, quanta).totals
+    pools = [round(mean * totals.cycles) for mean in totals.mean_processor_occupancy]
+    assert sum(totals.occupancy_integral) == sum(pools)
+    latency = cfg.memory_latency
+    for occ, done in zip(totals.occupancy_integral, totals.completed_per_thread):
+        assert 0 <= occ - latency * done <= latency * cfg.mshrs_per_processor
 
 
 @pytest.mark.parametrize("policy", list(Policy), ids=lambda p: p.value)
