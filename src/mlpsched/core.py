@@ -6,6 +6,7 @@ function, so they are safe to use from any number of concurrent callers.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +29,20 @@ MlpVector = tuple[float, ...]
 
 class ConfigError(ValueError):
     """A machine or experiment parameter violates its constraints."""
+
+
+_SHOWN_CHARS = 60
+
+
+def _shown(value) -> str:
+    """A bad input value for an error message, at most _SHOWN_CHARS long.
+
+    ``reprlib`` caps nesting depth, item counts and string and integer
+    lengths, so a huge or deeply nested value is never rendered in full
+    before it is cut.
+    """
+    text = reprlib.repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
 
 
 class InvalidScheduleError(ValueError):

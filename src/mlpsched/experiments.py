@@ -24,11 +24,10 @@ import dataclasses
 import itertools
 import json
 import os.path
-import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ConfigError, SystemConfig, processor_load
+from .core import ConfigError, SystemConfig, _shown, processor_load
 from .engine import SimulationReport, run_simulation
 from .policies import (
     MAX_EXHAUSTIVE_THREADS,
@@ -124,19 +123,6 @@ class ExperimentConfig:
 
 def _fail(field: str, problem: str) -> ConfigError:
     return ConfigError(f"config field '{field}': {problem}")
-
-
-_SHOWN_CHARS = 60
-
-
-def _shown(value) -> str:
-    """A bad config value for an error message, at most _SHOWN_CHARS long.
-
-    ``reprlib`` caps nesting depth and item counts, so a huge or deeply
-    nested value is never rendered in full before it is cut.
-    """
-    text = reprlib.repr(value)
-    return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
 
 
 def _as_mapping(value, field: str) -> dict:

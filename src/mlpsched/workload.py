@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import ConfigError, SystemConfig
+from .core import ConfigError, SystemConfig, _shown
 
 __all__ = [
     "IDLE_PHASE_DURATION",
@@ -48,9 +48,9 @@ class Phase:
         # bool is an int subclass, but True is neither a duration nor a demand
         duration, demand = self.duration, self.demand
         if isinstance(duration, bool) or not isinstance(duration, int) or duration < 1:
-            raise ValueError(f"phase duration must be an integer >= 1, got {duration!r}")
+            raise ValueError(f"phase duration must be an integer >= 1, got {_shown(duration)}")
         if isinstance(demand, bool) or not isinstance(demand, int) or demand < 0:
-            raise ValueError(f"phase demand must be an integer >= 0, got {demand!r}")
+            raise ValueError(f"phase demand must be an integer >= 0, got {_shown(demand)}")
 
 
 @dataclass(frozen=True)
@@ -162,11 +162,48 @@ def save_trace(workloads: Iterable[ThreadWorkload], path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_int(raw: str, field: str, line_no: int) -> int:
+class _IntCache(dict):
+    """Field text -> int, converting each distinct text once."""
+
+    def __missing__(self, raw: str) -> int:
+        value = self[raw] = int(raw)
+        return value
+
+
+def _row_error(
+    line: str, line_no: int, phases: dict[int, list[Phase]], repeats: dict[int, int]
+) -> TraceError:
+    """The error for a non-blank row that failed a check, given the rows before it.
+
+    The checks run in this order and the first failure is reported: field
+    count, each field an integer (in header order), thread >= 0, the phase's
+    duration and demand, the repeat value, the thread's repeat flag, and the
+    phase index.
+    """
+    parts = line.split(",")
+    if len(parts) != len(TRACE_FIELDS):
+        return TraceError(f"line {line_no}: expected {len(TRACE_FIELDS)} fields, got {len(parts)}")
+    values = []
+    for field, raw in zip(TRACE_FIELDS, parts):
+        try:
+            values.append(int(raw))
+        except ValueError:
+            return TraceError(f"line {line_no}: {field} must be an integer, got {_shown(raw)}")
+    thread, index, duration, demand, flag = values
+    if thread < 0:
+        return TraceError(f"line {line_no}: thread must be >= 0, got {_shown(thread)}")
     try:
-        return int(raw)
-    except ValueError:
-        raise TraceError(f"line {line_no}: {field} must be an integer, got {raw!r}") from None
+        Phase(duration, demand)
+    except ValueError as exc:
+        return TraceError(f"line {line_no}: {exc}")
+    if flag not in (0, 1):
+        return TraceError(f"line {line_no}: repeat must be 0 or 1, got {_shown(flag)}")
+    if repeats.get(thread, flag) != flag:
+        return TraceError(f"line {line_no}: thread {_shown(thread)} has inconsistent repeat flags")
+    return TraceError(
+        f"line {line_no}: thread {_shown(thread)} expected phase {len(phases.get(thread, ()))}, "
+        f"got {_shown(index)}"
+    )
 
 
 def load_trace(path: str) -> tuple[ThreadWorkload, ...]:
@@ -174,6 +211,7 @@ def load_trace(path: str) -> tuple[ThreadWorkload, ...]:
 
     Errors name the offending physical line (the version line is line 1).
     Demands are checked against a machine's pool by ``pad_workloads``.
+    Rows with equal duration and demand share one ``Phase``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -182,40 +220,36 @@ def load_trace(path: str) -> tuple[ThreadWorkload, ...]:
     if len(lines) < 2 or tuple(lines[1].strip().split(",")) != TRACE_FIELDS:
         raise TraceError(f"line 2: expected header {','.join(TRACE_FIELDS)!r}")
 
+    as_int = _IntCache().__getitem__
+    shared: dict[tuple[int, int], Phase] = {}
     phases: dict[int, list[Phase]] = {}
-    repeats: dict[int, bool] = {}
+    repeats: dict[int, int] = {}
+    # Each row is accepted by the cheapest checks that pass exactly the valid
+    # rows; any other row, blank ones included, goes to _row_error, which
+    # names the first failure.  No row state changes before a row passes.
     for line_no, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(TRACE_FIELDS):
-            raise TraceError(
-                f"line {line_no}: expected {len(TRACE_FIELDS)} fields, got {len(parts)}"
-            )
-        thread = _parse_int(parts[0], "thread", line_no)
-        phase_index = _parse_int(parts[1], "phase", line_no)
-        duration = _parse_int(parts[2], "duration", line_no)
-        demand = _parse_int(parts[3], "demand", line_no)
-        repeat_raw = _parse_int(parts[4], "repeat", line_no)
-        if thread < 0:
-            raise TraceError(f"line {line_no}: thread must be >= 0, got {thread}")
         try:
-            phase = Phase(duration, demand)
-        except ValueError as exc:
-            raise TraceError(f"line {line_no}: {exc}") from exc
-        if repeat_raw not in (0, 1):
-            raise TraceError(f"line {line_no}: repeat must be 0 or 1, got {repeat_raw}")
-        repeat = bool(repeat_raw)
-        if thread in repeats and repeats[thread] != repeat:
-            raise TraceError(f"line {line_no}: thread {thread} has inconsistent repeat flags")
-        repeats[thread] = repeat
-        expected_index = len(phases.setdefault(thread, []))
-        if phase_index != expected_index:
-            raise TraceError(
-                f"line {line_no}: thread {thread} expected phase {expected_index}, "
-                f"got {phase_index}"
-            )
-        phases[thread].append(phase)
+            thread, index, duration, demand, flag = map(as_int, line.split(","))
+        except ValueError:
+            if not line.strip():
+                continue
+            raise _row_error(line, line_no, phases, repeats) from None
+        phase = shared.get((duration, demand))
+        if phase is None:
+            try:
+                phase = shared[duration, demand] = Phase(duration, demand)
+            except ValueError:
+                raise _row_error(line, line_no, phases, repeats) from None
+        own = phases.get(thread)
+        if own is None:
+            if thread < 0 or flag not in (0, 1) or index != 0:
+                raise _row_error(line, line_no, phases, repeats)
+            phases[thread] = [phase]
+            repeats[thread] = flag
+        elif flag != repeats[thread] or index != len(own):
+            raise _row_error(line, line_no, phases, repeats)
+        else:
+            own.append(phase)
 
     if not phases:
         raise TraceError("line 3: trace contains no records")
@@ -223,10 +257,6 @@ def load_trace(path: str) -> tuple[ThreadWorkload, ...]:
         if t not in phases:
             raise TraceError(f"thread {t} has no phases")
     return tuple(
-        ThreadWorkload(
-            thread=t,
-            phases=tuple(phases[t]),
-            repeat=repeats[t],
-        )
+        ThreadWorkload(thread=t, phases=tuple(phases[t]), repeat=repeats[t] == 1)
         for t in range(len(phases))
     )

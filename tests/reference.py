@@ -2,8 +2,9 @@
 
 Deliberately constructed differently from the library code (row chunking
 instead of rank arithmetic, every partition enumerated instead of a
-memoised subset search, one cycle at a time instead of event to event) so
-that agreement between the two is evidence, not tautology.
+memoised subset search, one cycle at a time instead of event to event, one
+check after another on every trace row instead of a fast path) so that
+agreement between the two is evidence, not tautology.
 """
 
 import itertools
@@ -12,10 +13,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from mlpsched.core import Schedule, SystemConfig, processor_load
+from mlpsched.core import Schedule, SystemConfig, _shown, processor_load
 from mlpsched.engine import QuantumRecord, SimulationReport, SimulationTotals, initial_schedule
 from mlpsched.policies import Policy, next_schedule, quantum_seed
-from mlpsched.workload import ThreadWorkload
+from mlpsched.workload import (
+    TRACE_FIELDS,
+    TRACE_VERSION_LINE,
+    Phase,
+    ThreadWorkload,
+    TraceError,
+)
 
 
 def boustrophedon_rows(values, k):
@@ -330,4 +337,78 @@ def run_reference(config, workloads, policy, seed=0, total_quanta=1) -> Simulati
     )
     return SimulationReport(
         config=config, policy=policy, seed=seed, per_quantum=tuple(records), totals=totals
+    )
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row trace loader: the oracle for ``mlpsched.load_trace``.
+#
+# This is the loader as it stood before the one-pass rewrite, with bad
+# values cut short by ``_shown``: each row is parsed field by field and
+# checked in order, and every row builds its own ``Phase``.
+# ``load_trace_reference`` must return an equal scenario, or raise a
+# ``TraceError`` with the same message, on every trace.
+
+def _parse_int(raw: str, field: str, line_no: int) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise TraceError(f"line {line_no}: {field} must be an integer, got {_shown(raw)}") from None
+
+
+def load_trace_reference(path) -> tuple[ThreadWorkload, ...]:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != TRACE_VERSION_LINE:
+        raise TraceError(f"line 1: expected version line {TRACE_VERSION_LINE!r}")
+    if len(lines) < 2 or tuple(lines[1].strip().split(",")) != TRACE_FIELDS:
+        raise TraceError(f"line 2: expected header {','.join(TRACE_FIELDS)!r}")
+
+    phases: dict[int, list[Phase]] = {}
+    repeats: dict[int, bool] = {}
+    for line_no, line in enumerate(lines[2:], start=3):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != len(TRACE_FIELDS):
+            raise TraceError(
+                f"line {line_no}: expected {len(TRACE_FIELDS)} fields, got {len(parts)}"
+            )
+        thread = _parse_int(parts[0], "thread", line_no)
+        phase_index = _parse_int(parts[1], "phase", line_no)
+        duration = _parse_int(parts[2], "duration", line_no)
+        demand = _parse_int(parts[3], "demand", line_no)
+        repeat_raw = _parse_int(parts[4], "repeat", line_no)
+        if thread < 0:
+            raise TraceError(f"line {line_no}: thread must be >= 0, got {_shown(thread)}")
+        try:
+            phase = Phase(duration, demand)
+        except ValueError as exc:
+            raise TraceError(f"line {line_no}: {exc}") from exc
+        if repeat_raw not in (0, 1):
+            raise TraceError(f"line {line_no}: repeat must be 0 or 1, got {_shown(repeat_raw)}")
+        repeat = bool(repeat_raw)
+        if thread in repeats and repeats[thread] != repeat:
+            raise TraceError(f"line {line_no}: thread {_shown(thread)} has inconsistent repeat flags")
+        repeats[thread] = repeat
+        expected_index = len(phases.setdefault(thread, []))
+        if phase_index != expected_index:
+            raise TraceError(
+                f"line {line_no}: thread {_shown(thread)} expected phase {expected_index}, "
+                f"got {_shown(phase_index)}"
+            )
+        phases[thread].append(phase)
+
+    if not phases:
+        raise TraceError("line 3: trace contains no records")
+    for t in range(max(phases) + 1):
+        if t not in phases:
+            raise TraceError(f"thread {t} has no phases")
+    return tuple(
+        ThreadWorkload(
+            thread=t,
+            phases=tuple(phases[t]),
+            repeat=repeats[t],
+        )
+        for t in range(len(phases))
     )

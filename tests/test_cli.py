@@ -157,6 +157,21 @@ def test_deeply_nested_field_value_is_shown_cut_short(tmp_path, capsys):
     assert err.count("\n") == 1 and len(err) < 120
 
 
+def test_long_bad_trace_value_is_shown_cut_short(tmp_path, capsys):
+    # a 5,000-character duration on line 3: the error names the line and the
+    # field and shows the value cut to a bounded length
+    trace = tmp_path / "w.trace"
+    trace.write_text(
+        "mlpsched-trace 1\nthread,phase,duration,demand,repeat\n0,0," + "x" * 5000 + ",1,1\n",
+        encoding="utf-8",
+    )
+    cfg = write_config(tmp_path, small_doc(workload={"trace": "w.trace"}))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: duration must be an integer, got 'xxx")
+    assert err.count("\n") == 1 and len(err) < 120
+
+
 def test_bad_config_field_exits_one_naming_field(tmp_path, capsys):
     doc = small_doc()
     doc["system"]["num_processors"] = 0

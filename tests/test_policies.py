@@ -361,6 +361,39 @@ def test_every_policy_output_validates():
             validate_schedule(sched, machine)
 
 
+# Counters as the engine samples them: finite and >= 0, with exact ties
+# drawn often enough that tie-breaking is exercised.
+counter = st.one_of(st.sampled_from((0.0, 0.5, 3.0, 16.0)), st.floats(0.0, 64.0))
+
+
+@st.composite
+def shape_and_counters(draw, max_k=6, max_l=6):
+    k = draw(st.integers(1, max_k))
+    l = draw(st.integers(1, max_l))
+    return cfg(k, l), tuple(draw(st.lists(counter, min_size=k * l, max_size=k * l)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(shape_and_counters(), st.integers(0, (1 << 64) - 1), st.integers(0, (1 << 64) - 1))
+def test_every_policy_output_validates_on_random_shapes(case, prev_seed, seed):
+    machine, mlp = case
+    prev = random_schedule(machine, prev_seed)
+    for policy in Policy:
+        if policy is Policy.OPTIMAL and machine.num_threads > 12:
+            continue
+        validate_schedule(next_schedule(policy, mlp, machine, prev, seed=seed), machine)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(shape_and_counters(max_k=8, max_l=8))
+def test_serpentine_unchanged_by_doubling_the_counters(case):
+    # x -> 2x is exact in floating point, so it keeps every order and tie
+    machine, mlp = case
+    doubled = tuple(2 * v for v in mlp)
+    assert sorted(doubled) == [2 * v for v in sorted(mlp)] and len(set(doubled)) == len(set(mlp))
+    assert serpentine_schedule(doubled, machine) == serpentine_schedule(mlp, machine)
+
+
 def test_next_schedule_dispatch():
     machine = cfg(2, 2)
     mlp = (8.0, 6.0, 4.0, 2.0)

@@ -16,6 +16,7 @@ from mlpsched.workload import (
     save_trace,
 )
 from mlpsched.workload import IDLE_PHASE_DURATION, TRACE_VERSION_LINE
+from reference import load_trace_reference
 
 
 def test_phase_validation():
@@ -225,3 +226,194 @@ def test_trace_fuzz_round_trip(tmp_path):
         path = tmp_path / f"fuzz{case}.trace"
         save_trace(workloads, path)
         assert load_trace(path) == workloads
+
+
+def test_rows_with_equal_duration_and_demand_share_one_phase(tmp_path):
+    path = tmp_path / "shared.trace"
+    save_trace(
+        (
+            ThreadWorkload(0, (Phase(7, 2), Phase(9, 1), Phase(7, 2))),
+            ThreadWorkload(1, (Phase(9, 1), Phase(7, 2)), repeat=False),
+        ),
+        path,
+    )
+    first, second = load_trace(path)
+    assert first.phases[0] is first.phases[2] is second.phases[1]
+    assert first.phases[1] is second.phases[0]
+    assert first.phases[0] is not first.phases[1]
+
+
+# Loader differential corpus: load_trace against the row-by-row reference
+# loader in tests/reference.py, on seeded valid and malformed traces.
+
+HEADER = "thread,phase,duration,demand,repeat"
+
+
+def random_scenario(rng):
+    return tuple(
+        ThreadWorkload(
+            t,
+            tuple(
+                Phase(rng.randint(1, 300), rng.randint(0, 12))
+                for _ in range(rng.randint(1, 6))
+            ),
+            repeat=bool(rng.getrandbits(1)),
+        )
+        for t in range(rng.randint(1, 6))
+    )
+
+
+def interleaved_rows(rng, workloads):
+    """Each thread's rows in phase order, the threads' rows shuffled together."""
+    queues = [
+        [[w.thread, i, ph.duration, ph.demand, int(w.repeat)] for i, ph in enumerate(w.phases)]
+        for w in workloads
+    ]
+    rows = []
+    while any(queues):
+        rows.append(rng.choice([q for q in queues if q]).pop(0))
+    return rows
+
+
+def spelled(rng, value):
+    """An int() spelling of value: plain, signed, padded, zero-led or with an underscore."""
+    text = str(value)
+    form = rng.randrange(6)
+    if form == 1 and value >= 0:
+        return "+" + text
+    if form == 2:
+        return rng.choice((" ", "\t", "  ")) + text + rng.choice((" ", "\t", ""))
+    if form == 3 and len(text) >= 2 and text[0] != "-":
+        cut = rng.randint(1, len(text) - 1)
+        return text[:cut] + "_" + text[cut:]
+    if form == 4 and value >= 0:
+        return "0" + text
+    return text
+
+
+def trace_lines(rng, rows, respell):
+    """The lines of a trace holding rows, with blank lines scattered between.
+
+    Returns the lines and each row's physical line number.
+    """
+    lines = [TRACE_VERSION_LINE + rng.choice(("", " ", "\t")), HEADER + rng.choice(("", " "))]
+    numbers = []
+    for row in rows:
+        while rng.random() < 0.15:
+            lines.append(rng.choice(("", " ", "\t", "   \t ")))
+        lines.append(",".join(spelled(rng, v) if respell else str(v) for v in row))
+        numbers.append(len(lines))
+    return lines, numbers
+
+
+def write_lines(path, rng, lines):
+    ending = rng.choice(("\n", "\r\n"))
+    path.write_bytes((ending.join(lines) + ending).encode("utf-8"))
+
+
+def test_loader_matches_reference_on_valid_traces(tmp_path):
+    rng = random.Random(4207)
+    for case in range(120):
+        workloads = random_scenario(rng)
+        path = tmp_path / f"valid{case}.trace"
+        if case % 3 == 0:
+            save_trace(workloads, path)
+        else:
+            rows = interleaved_rows(rng, workloads)
+            lines, _ = trace_lines(rng, rows, respell=case % 3 == 2)
+            write_lines(path, rng, lines)
+        assert load_trace(path) == load_trace_reference(path) == workloads
+
+
+# One defect per kind, in the order the loaders check a row: (name, the
+# fields it rewrites or "count", how it rewrites a row's list of field texts).
+DEFECTS = [
+    ("extra field", ("count",), lambda row, rng: row.append("1")),
+    ("missing field", ("count", 4), lambda row, rng: row.pop()),
+    *[
+        (f"{field} not an integer", (i,), lambda row, rng, i=i: row.__setitem__(
+            i, rng.choice(("x", "", "1.5", "0x10", "5-", "y" * 200))))
+        for i, field in enumerate(HEADER.split(","))
+    ],
+    ("negative thread", (0,), lambda row, rng: row.__setitem__(0, str(-rng.randint(1, 9)))),
+    ("duration below 1", (2,), lambda row, rng: row.__setitem__(2, rng.choice(("0", "-4")))),
+    ("negative demand", (3,), lambda row, rng: row.__setitem__(3, "-1")),
+    ("repeat not 0 or 1", (4,), lambda row, rng: row.__setitem__(4, rng.choice(("2", "-1", "10")))),
+    ("repeat flag flipped", (4,), lambda row, rng: row.__setitem__(4, str(1 - int(row[4])))),
+    ("phase index off", (1,), lambda row, rng: row.__setitem__(1, str(int(row[1]) + rng.randint(1, 2)))),
+]
+
+
+def rows_and_target(rng, defects):
+    """Valid rows as field texts, and the index of a row the defects fit."""
+    while True:
+        rows = [[str(v) for v in row] for row in interleaved_rows(rng, random_scenario(rng))]
+        if any(name == "repeat flag flipped" for name, _, _ in defects):
+            # only a thread's later row can disagree with an earlier one
+            candidates = [i for i, row in enumerate(rows) if row[1] != "0"]
+        else:
+            candidates = list(range(len(rows)))
+        if candidates:
+            return rows, rng.choice(candidates)
+
+
+def reported(path):
+    """The TraceError message, which both loaders must agree on."""
+    messages = []
+    for loader in (load_trace, load_trace_reference):
+        with pytest.raises(TraceError) as err:
+            loader(path)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
+def test_loader_matches_reference_on_malformed_traces(tmp_path):
+    rng = random.Random(4208)
+    for case in range(12 * len(DEFECTS)):
+        name, _, apply = defect = DEFECTS[case % len(DEFECTS)]
+        rows, target = rows_and_target(rng, [defect])
+        apply(rows[target], rng)
+        lines, numbers = trace_lines(rng, rows, respell=False)
+        path = tmp_path / f"bad{case}.trace"
+        write_lines(path, rng, lines)
+        message = reported(path)
+        assert message.startswith(f"line {numbers[target]}: "), (name, message)
+        assert len(message) < 120
+
+
+def test_loader_reports_the_first_of_two_defects_on_a_line(tmp_path):
+    rng = random.Random(4209)
+    pairs = [
+        (first, second)
+        for i, first in enumerate(DEFECTS)
+        for second in DEFECTS[i + 1:]
+        if not set(first[1]) & set(second[1])
+    ]
+    for case, (first, second) in enumerate(pairs * 2):
+        rows, target = rows_and_target(rng, [first, second])
+        first[2](rows[target], rng)
+        alone = [row[:] for row in rows]
+        second[2](rows[target], rng)
+        layout = rng.randrange(1 << 32)
+        paths = []
+        for tag, these in (("alone", alone), ("both", rows)):
+            paths.append(tmp_path / f"{tag}{case}.trace")
+            local = random.Random(layout)
+            write_lines(paths[-1], local, trace_lines(local, these, respell=False)[0])
+        assert reported(paths[1]) == reported(paths[0]), (first[0], second[0])
+
+
+def test_loader_matches_reference_on_whole_trace_defects(tmp_path):
+    cases = {
+        "empty": "",
+        "version": "mlpsched-trace 2\n" + HEADER + "\n0,0,1,1,1\n",
+        "header": TRACE_VERSION_LINE + "\nthread,phase,duration,demand\n0,0,1,1,1\n",
+        "no records": TRACE_VERSION_LINE + "\n" + HEADER + "\n \n\n",
+        "missing thread": TRACE_VERSION_LINE + "\n" + HEADER + "\n0,0,1,1,1\n2,0,1,1,1\n",
+    }
+    for name, text in cases.items():
+        path = tmp_path / f"{name}.trace"
+        path.write_text(text, encoding="utf-8")
+        assert reported(path)
+    assert reported(tmp_path / "missing thread.trace") == "thread 1 has no phases"
