@@ -32,8 +32,7 @@ over cycles [0, C) is therefore latency x (requests retired + requests in
 flight) - the sum of (completion - C) over its in-flight requests.  The
 engine reads it from the in-flight FIFO at the two cycles that need it: the
 window start and the quantum boundary (the windowed sum a quantum samples is
-the growth in between; a window spanning the whole quantum reuses the last
-boundary's read), and the pools' integrals once, at the end.
+the growth in between), and the pools' integrals once, at the end.
 
 *Events.*  Retire and issue run only at event cycles, the earliest of: the
 FIFO's head completion, some thread's phase end, a migrated thread's
@@ -228,7 +227,6 @@ def run_simulation(
     schedule = initial_schedule(config)
     records: list[QuantumRecord] = []
     cycle = 0
-    window_base = None  # the integrals at the window start, once read
     for q in range(total_quanta):
         where = [p for p, _ in schedule.placement]
         for t, (p, s) in enumerate(schedule.placement):
@@ -263,7 +261,7 @@ def run_simulation(
                     if frozen[t] == cycle:  # not migrated again since
                         cap[t] = demand[t]
                         touched.add(where[t])
-            if cycle == window_start and window_base is None:
+            if cycle == window_start:
                 window_base = _occupancy(
                     cycle, latency, completed_total, completed, outstanding, inflight
                 )
@@ -333,9 +331,6 @@ def run_simulation(
         since = [boundary] * k
         occ = _occupancy(boundary, latency, completed_total, completed, outstanding, inflight)
         mlp = tuple((a - b) / window for a, b in zip(occ, window_base))
-        # A window spanning the whole quantum starts at this boundary, and
-        # nothing changes the integrals before the next quantum reads them.
-        window_base = occ if window == q_len else None
         chosen = next_schedule(policy, mlp, config, schedule, quantum_seed(seed, q))
         quality = processor_load(chosen, mlp, config)
         completed_q = tuple(completed)

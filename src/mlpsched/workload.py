@@ -170,40 +170,21 @@ class _IntCache(dict):
         return value
 
 
-def _row_error(
-    line: str, line_no: int, phases: dict[int, list[Phase]], repeats: dict[int, int]
-) -> TraceError:
-    """The error for a non-blank row that failed a check, given the rows before it.
+def _unpack_error(line: str, line_no: int) -> TraceError:
+    """The error for a non-blank row whose five integers did not unpack.
 
-    The checks run in this order and the first failure is reported: field
-    count, each field an integer (in header order), thread >= 0, the phase's
-    duration and demand, the repeat value, the thread's repeat flag, and the
-    phase index.
+    A wrong field count is reported first.  With five fields the unpack
+    failed on a field that is not an integer: the first, in header order.
     """
     parts = line.split(",")
     if len(parts) != len(TRACE_FIELDS):
         return TraceError(f"line {line_no}: expected {len(TRACE_FIELDS)} fields, got {len(parts)}")
-    values = []
     for field, raw in zip(TRACE_FIELDS, parts):
         try:
-            values.append(int(raw))
+            int(raw)
         except ValueError:
-            return TraceError(f"line {line_no}: {field} must be an integer, got {_shown(raw)}")
-    thread, index, duration, demand, flag = values
-    if thread < 0:
-        return TraceError(f"line {line_no}: thread must be >= 0, got {_shown(thread)}")
-    try:
-        Phase(duration, demand)
-    except ValueError as exc:
-        return TraceError(f"line {line_no}: {exc}")
-    if flag not in (0, 1):
-        return TraceError(f"line {line_no}: repeat must be 0 or 1, got {_shown(flag)}")
-    if repeats.get(thread, flag) != flag:
-        return TraceError(f"line {line_no}: thread {_shown(thread)} has inconsistent repeat flags")
-    return TraceError(
-        f"line {line_no}: thread {_shown(thread)} expected phase {len(phases.get(thread, ()))}, "
-        f"got {_shown(index)}"
-    )
+            break
+    return TraceError(f"line {line_no}: {field} must be an integer, got {_shown(raw)}")
 
 
 def load_trace(path: str) -> tuple[ThreadWorkload, ...]:
@@ -224,32 +205,35 @@ def load_trace(path: str) -> tuple[ThreadWorkload, ...]:
     shared: dict[tuple[int, int], Phase] = {}
     phases: dict[int, list[Phase]] = {}
     repeats: dict[int, int] = {}
-    # Each row is accepted by the cheapest checks that pass exactly the valid
-    # rows; any other row, blank ones included, goes to _row_error, which
-    # names the first failure.  No row state changes before a row passes.
     for line_no, line in enumerate(lines[2:], start=3):
         try:
             thread, index, duration, demand, flag = map(as_int, line.split(","))
         except ValueError:
             if not line.strip():
                 continue
-            raise _row_error(line, line_no, phases, repeats) from None
+            raise _unpack_error(line, line_no) from None
+        if thread < 0:
+            raise TraceError(f"line {line_no}: thread must be >= 0, got {_shown(thread)}")
         phase = shared.get((duration, demand))
-        if phase is None:
+        if phase is None:  # Phase checks each distinct pair once
             try:
                 phase = shared[duration, demand] = Phase(duration, demand)
-            except ValueError:
-                raise _row_error(line, line_no, phases, repeats) from None
+            except ValueError as exc:
+                raise TraceError(f"line {line_no}: {exc}") from exc
+        if flag not in (0, 1):
+            raise TraceError(f"line {line_no}: repeat must be 0 or 1, got {_shown(flag)}")
         own = phases.get(thread)
         if own is None:
-            if thread < 0 or flag not in (0, 1) or index != 0:
-                raise _row_error(line, line_no, phases, repeats)
-            phases[thread] = [phase]
+            own = phases[thread] = []
             repeats[thread] = flag
-        elif flag != repeats[thread] or index != len(own):
-            raise _row_error(line, line_no, phases, repeats)
-        else:
-            own.append(phase)
+        elif repeats[thread] != flag:
+            raise TraceError(f"line {line_no}: thread {_shown(thread)} has inconsistent repeat flags")
+        if index != len(own):
+            raise TraceError(
+                f"line {line_no}: thread {_shown(thread)} expected phase {len(own)}, "
+                f"got {_shown(index)}"
+            )
+        own.append(phase)
 
     if not phases:
         raise TraceError("line 3: trace contains no records")

@@ -11,7 +11,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlpsched import engine
 from mlpsched.core import ConfigError, Schedule, SystemConfig
 from mlpsched.engine import initial_schedule, run_simulation
 from mlpsched.policies import Policy, serpentine_schedule
@@ -374,22 +373,6 @@ def test_run_is_deterministic():
     assert a == b
     c = run_simulation(cfg, workloads, Policy.RANDOM, seed=12, total_quanta=5)
     assert [r.chosen for r in a.per_quantum] != [r.chosen for r in c.per_quantum]
-
-
-def test_whole_quantum_window_reads_occupancy_once_per_boundary(monkeypatch):
-    # with window == quantum each window starts at the last boundary, whose
-    # read is reused: one read at cycle 0, then one per boundary
-    reads = []
-    real = engine._occupancy
-
-    def counted(now, *args):
-        reads.append(now)
-        return real(now, *args)
-
-    monkeypatch.setattr(engine, "_occupancy", counted)
-    cfg = machine(quantum_cycles=250, window_cycles=250)
-    run_simulation(cfg, [ThreadWorkload(0, (Phase(90, 3), Phase(70, 1)))], Policy.STATIC, total_quanta=4)
-    assert reads == [0, 250, 500, 750, 1000]
 
 
 def test_run_pads_too_few_threads():
