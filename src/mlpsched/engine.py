@@ -21,8 +21,9 @@ The model is defined cycle by cycle.  Each cycle applies, in this order:
 
 The engine does not step every cycle (next-event time advance; Law and
 Kelton, *Simulation Modeling and Analysis*, ch. 1), and at an event it
-steps only the processors the event touches.  Three rules keep the result
-equal to stepping every processor on every cycle.
+steps only the processors the event touches, and it skips whole repeats of
+a processor that settled into a cycle.  Four rules keep the result equal to
+stepping every processor on every cycle.
 
 *Occupancy is read, not accumulated.*  A request issued at cycle i is
 outstanding at the end of cycles i .. i + latency - 1, so by cycle C it has
@@ -30,12 +31,12 @@ added min(latency, C - i) = latency - (completion - C) to its thread's and
 its pool's integral, or exactly latency once retired.  An owner's integral
 over cycles [0, C) is therefore latency x (requests retired + requests in
 flight) - the sum of (completion - C) over its in-flight requests.  The
-engine reads it from the in-flight FIFO at the two cycles that need it: the
+engine reads it from the in-flight groups at the two cycles that need it: the
 window start and the quantum boundary (the windowed sum a quantum samples is
 the growth in between), and the pools' integrals once, at the end.
 
-*Events.*  Retire and issue run only at event cycles, the earliest of: the
-FIFO's head completion, some thread's phase end, a migrated thread's
+*Events.*  Retire and issue run only at event cycles, the earliest of: an
+in-flight group's completion, some thread's phase end, a migrated thread's
 unfreeze, the window start and the quantum boundary.  A constant thread, one
 whose single phase repeats, keeps its demand for the whole run, so its phase
 ends are no events; idle padding threads and the config's ``demands``
@@ -64,6 +65,26 @@ lazily: each processor keeps the threads its last round left wanting at a
 full pool and the cycle of that round, and those threads gain the cycles up
 to its next round or the quantum boundary, whichever is first.
 
+*Periodic fast-forward.*  Let P = L x latency, and let a processor's
+horizon be the earliest of a resident's next phase end, the next pending
+unfreeze and the quantum boundary.  Once the quantum's first ``latency``
+cycles are over, its pool holds only its residents' requests, so until the
+horizon only its own retires touch it (previous rule), and its rounds depend
+on nothing but its in-flight groups, its residents' outstanding counts and
+the start slot.  After such a round at cycle c, with the horizon more than
+2P away, the engine records that state (groups as completion - c, and the
+stalled list) and the counters the processor drives: its residents'
+completed and stalls and its pool's issued requests.  If its round at c + P
+finds the same state, every later period before the horizon repeats that
+one exactly, since the start slot repeats too (P is a multiple of L).  The
+engine then jumps ``times`` periods at once, to the last period end strictly
+before the horizon, and before the window start if that is still ahead, as
+the window start reads every thread's true occupancy.  It adds ``times``
+copies of each counter's growth over the period and moves the processor's
+groups and the cycle of its last round ``times`` x P later.  It lands on
+the recorded state, so the record stands: a jump stopped by the window start
+goes on one period later.
+
 Everything is integer arithmetic over plain lists, so a run is bitwise
 deterministic in (config, workloads, policy, seed, total_quanta).  The
 cycle-by-cycle engine this one replaced is kept as the test oracle in
@@ -76,6 +97,7 @@ import math
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .core import (
@@ -143,7 +165,7 @@ class SimulationReport:
     totals: SimulationTotals
 
 
-def _occupancy(now, latency, retired_before, retired, outstanding, inflight) -> list[int]:
+def _occupancy(now, latency, retired_before, retired, outstanding, groups) -> list[int]:
     """Each thread's occupancy integral over cycles [0, now).
 
     A thread's requests issued before ``now`` are those retired in earlier
@@ -151,7 +173,7 @@ def _occupancy(now, latency, retired_before, retired, outstanding, inflight) -> 
     in-flight request still lacks ``completion - now`` of its ``latency``.
     """
     occ = [latency * (a + b + o) for a, b, o in zip(retired_before, retired, outstanding)]
-    for completion, _, threads in inflight:
+    for completion, _, threads in groups:
         ahead = completion - now
         for t in threads:
             occ[t] -= ahead
@@ -193,8 +215,11 @@ def run_simulation(
     # processor and issue cycle, listing one thread id per request.  All
     # pools share one latency, so issue order is completion order and one
     # FIFO serves every pool.  A migrated thread's in-flight requests keep
-    # the old pool's MSHRs until they retire.
+    # the old pool's MSHRs until they retire.  Groups a fast-forward moved
+    # later wait in ``parked``, sorted by completion, and join the FIFO's
+    # head when they come due.
     inflight = deque()
+    parked = []
     used = [0] * k  # MSHRs held, per pool
     pool_issued = [0] * k  # requests ever issued, per pool
     owners = [[-1] * l for _ in range(k)]  # [processor][slot] -> thread
@@ -203,16 +228,16 @@ def run_simulation(
     repeat = [w.repeat for w in workloads]
     phase_idx = [0] * n
     demand = [table[0][1] for table in phase_tables]
+    next_end = [
+        table[0][0] if len(table) > 1 or not repeat[t] else math.inf
+        for t, table in enumerate(phase_tables)
+    ]
     # (first cycle of the thread's next phase, thread), kept sorted: the head
     # is the earliest phase end, and only a phase end moves it.  A thread
     # that ran out of phases (repeat off) leaves the list, and a constant
     # thread (one repeating phase) never enters it; the tail sentinel is
     # never reached, so the list is never empty.
-    phase_ends = sorted(
-        (table[0][0], t)
-        for t, table in enumerate(phase_tables)
-        if len(table) > 1 or not repeat[t]
-    )
+    phase_ends = sorted((end, t) for t, end in enumerate(next_end) if end < math.inf)
     phase_ends.append((math.inf, n))
     frozen = [0] * n  # a migrated thread may not issue before this cycle
     cap = demand[:]  # how many requests a thread may hold: 0 while frozen
@@ -223,6 +248,7 @@ def run_simulation(
     stalls = [0] * n
     completed_total = [0] * n
     stalls_total = [0] * n
+    period = l * latency
 
     schedule = initial_schedule(config)
     records: list[QuantumRecord] = []
@@ -240,6 +266,15 @@ def run_simulation(
         # so they may hold a migrated thread's requests.
         drain_end = cycle + latency
         touched = set(range(k))
+        # Per processor, the cycle of its last fast-forward check (rule 4)
+        # and what that check recorded: (state, counters), or None.  Checks
+        # start after the drain, and only in a quantum with room for a
+        # record whose next check can jump (see the end of a check).
+        roomy = drain_end + 2 * period < window_start or (
+            max(drain_end, window_start) + 2 * period < boundary
+        )
+        checked = [(drain_end if roomy else boundary) - period] * k
+        settled = [None] * k
 
         while cycle < boundary:
             while phase_ends[0][0] == cycle:
@@ -250,9 +285,11 @@ def run_simulation(
                     idx %= len(table)
                     phase_idx[t] = idx
                     duration, demand[t] = table[idx]
-                    insort(phase_ends, (cycle + duration, t))
+                    next_end[t] = cycle + duration
+                    insort(phase_ends, (next_end[t], t))
                 else:
                     demand[t] = 0
+                    next_end[t] = math.inf
                 if frozen[t] <= cycle:
                     cap[t] = demand[t]
                     touched.add(where[t])
@@ -263,9 +300,11 @@ def run_simulation(
                         touched.add(where[t])
             if cycle == window_start:
                 window_base = _occupancy(
-                    cycle, latency, completed_total, completed, outstanding, inflight
+                    cycle, latency, completed_total, completed, outstanding, chain(inflight, parked)
                 )
 
+            while parked and parked[0][0] == cycle:
+                inflight.appendleft(parked.pop(0))
             while inflight and inflight[0][0] == cycle:
                 _, p, threads = inflight.popleft()
                 used[p] -= len(threads)
@@ -313,6 +352,46 @@ def run_simulation(
                     inflight.append((completion, p, granted))
                     used[p] += len(granted)
                     pool_issued[p] += len(granted)
+                if cycle - checked[p] < period:
+                    continue
+                residents = owners[p]
+                horizon = min(boundary, *[next_end[t] for t in residents])
+                if unfreezes and unfreezes[0][0] < horizon:
+                    horizon = unfreezes[0][0]
+                # A jump stops short of the horizon and of the window start,
+                # whose read needs every thread's true occupancy.
+                end = window_start if cycle < window_start < horizon else horizon
+                record = settled[p] if cycle - checked[p] == period else None
+                if not record and end - cycle <= 2 * period:
+                    # No jump can start before the end, so the next check
+                    # waits for it.
+                    checked[p] = end - period
+                    settled[p] = None
+                    continue
+                mine = [(c - cycle, g) for c, owner, g in inflight if owner == p]
+                state = (mine, [outstanding[t] for t in residents], left)
+                counters = [completed[t] for t in residents] + [stalls[t] for t in residents]
+                counters.append(pool_issued[p])
+                at = cycle
+                if record and record[0] == state:
+                    times = (end - cycle - 1) // period
+                    counters = [now + times * (now - then) for now, then in zip(counters, record[1])]
+                    for t, done, stalled_for in zip(residents, counters, counters[l:]):
+                        completed[t] = done
+                        stalls[t] = stalled_for
+                    pool_issued[p] = counters[-1]
+                    at = since[p] = cycle + times * period
+                    parked += [(at + ahead, p, g) for ahead, g in mine]
+                    parked.sort()
+                    kept = [group for group in inflight if group[1] != p]
+                    inflight.clear()
+                    inflight.extend(kept)
+                checked[p] = at
+                # Keep the record only while the check one period on can
+                # still jump; a jump the window start stopped goes on after it.
+                at += period
+                end = window_start if at < window_start < horizon else horizon
+                settled[p] = (state, counters) if end - at > period else None
             touched.clear()
 
             next_event = window_start if cycle < window_start else boundary
@@ -322,6 +401,8 @@ def run_simulation(
                 next_event = unfreezes[0][0]
             if inflight and inflight[0][0] < next_event:
                 next_event = inflight[0][0]
+            if parked and parked[0][0] < next_event:
+                next_event = parked[0][0]
             cycle = next_event
 
         for p, wanting in enumerate(stalled):
@@ -329,7 +410,9 @@ def run_simulation(
             for t in wanting:
                 stalls[t] += gap
         since = [boundary] * k
-        occ = _occupancy(boundary, latency, completed_total, completed, outstanding, inflight)
+        occ = _occupancy(
+            boundary, latency, completed_total, completed, outstanding, chain(inflight, parked)
+        )
         mlp = tuple((a - b) / window for a, b in zip(occ, window_base))
         chosen = next_schedule(policy, mlp, config, schedule, quantum_seed(seed, q))
         quality = processor_load(chosen, mlp, config)
@@ -361,7 +444,7 @@ def run_simulation(
 
     cycles = total_quanta * q_len
     pool_total = [latency * issued for issued in pool_issued]
-    for completion, p, threads in inflight:
+    for completion, p, threads in chain(inflight, parked):
         pool_total[p] -= (completion - cycles) * len(threads)
     total_completed = sum(completed_total)
     totals = SimulationTotals(

@@ -23,8 +23,10 @@ import csv
 import dataclasses
 import itertools
 import json
+import operator
 import os.path
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 from .core import ConfigError, SystemConfig, _shown, processor_load
@@ -320,6 +322,16 @@ class PolicyMetrics:
     mean_oversubscription: float
 
 
+def _left_to_right(values) -> float:
+    """Add floats in order, one rounding per step.
+
+    From Python 3.12 the builtin ``sum`` compensates float rounding, so its
+    last digit can differ from this, and the output files would differ
+    between Python versions.
+    """
+    return reduce(operator.add, values, 0)
+
+
 def measure(report: SimulationReport, warmup_quanta: int = 0) -> PolicyMetrics:
     records = report.per_quantum[warmup_quanta:]
     if not records:
@@ -331,8 +343,10 @@ def measure(report: SimulationReport, warmup_quanta: int = 0) -> PolicyMetrics:
     k = report.config.num_processors
     completed = sum(sum(r.completed) for r in records)
     stalls = sum(sum(r.stalls) for r in records)
-    gap_sum = sum(r.quality.gap for r in records)
-    over_sum = sum(sum(r.quality.per_processor_oversubscription) for r in records)
+    gap_sum = _left_to_right(r.quality.gap for r in records)
+    over_sum = _left_to_right(
+        _left_to_right(r.quality.per_processor_oversubscription) for r in records
+    )
     return PolicyMetrics(
         policy=report.policy,
         throughput=completed / cycles,

@@ -443,6 +443,20 @@ def random_machine(rng, policy, max_k=3, max_l=3, max_m=8):
     return cfg, workloads, policy, rng.randrange(1 << 64), rng.randint(1, 6)
 
 
+def migration_kind(report):
+    """'0', 'up to Q' or 'over Q' for a run whose policy moved a thread, else None."""
+    cfg = report.config
+    moved = any(
+        r.chosen.placement[t][0] != r.schedule.placement[t][0]
+        for r in report.per_quantum[:-1]
+        for t in range(cfg.num_threads)
+    )
+    if not moved:
+        return None
+    penalty = cfg.migration_penalty
+    return "0" if penalty == 0 else "up to Q" if penalty <= cfg.quantum_cycles else "over Q"
+
+
 def test_matches_cycle_by_cycle_reference_on_random_machines():
     """The next-event engine and the cycle-by-cycle oracle agree report for
     report; the corpus is checked to cover each case that makes events
@@ -464,14 +478,8 @@ def test_matches_cycle_by_cycle_reference_on_random_machines():
         cfg, workloads = args[0], args[1]
         got = run_simulation(*args)
         assert got == run_reference(*args), f"case {case}: {args}"
-        migrated = any(
-            r.chosen.placement[t][0] != r.schedule.placement[t][0]
-            for r in got.per_quantum[:-1]
-            for t in range(cfg.num_threads)
-        )
-        if migrated:
-            penalty = cfg.migration_penalty
-            kind = "0" if penalty == 0 else "up to Q" if penalty <= cfg.quantum_cycles else "over Q"
+        kind = migration_kind(got)
+        if kind:
             seen[f"migration, penalty {kind}"] += 1
         seen["non-repeating phases"] += any(not w.repeat for w in workloads)
         seen["window = quantum"] += cfg.window_cycles == cfg.quantum_cycles
@@ -539,3 +547,89 @@ def test_matches_cycle_by_cycle_reference_on_contended_4x3(policy):
     workloads = generate_synthetic(spec, cfg.num_threads, seed=7)
     args = (cfg, workloads, policy, 5, 6)
     assert run_simulation(*args) == run_reference(*args)
+
+
+def long_machine(rng, policy, min_k=1, max_k=3):
+    """A random machine whose quanta span many L x latency periods.
+
+    Threads are constant (one repeating phase) or hold one to three phases
+    of at least two periods each, repeating or not, so processors settle
+    into repeats that the engine's fast-forward skips, and the events that
+    end a repeat (phase ends, unfreezes, window starts, boundaries) fall at
+    every offset within a period.
+    """
+    k = rng.randint(min_k, max_k)
+    l = rng.randint(1, 3)
+    m = rng.randint(1, 8)
+    latency = rng.randint(1, 9)
+    period = l * latency
+    q_len = period * rng.randint(6, 24) + rng.randint(0, period)
+    cfg = SystemConfig(
+        num_processors=k,
+        slots_per_processor=l,
+        mshrs_per_processor=m,
+        memory_latency=latency,
+        quantum_cycles=q_len,
+        window_cycles=rng.choice((q_len, rng.randint(1, q_len))),
+        migration_penalty=rng.choice((0, rng.randint(1, q_len), rng.randint(q_len + 1, 2 * q_len))),
+    )
+
+    def thread(t):
+        kind = rng.random()
+        if kind < 0.3:
+            return ThreadWorkload(t, constant(rng.randint(0, m)))
+        phases = tuple(
+            Phase(rng.randint(2 * period, 2 * q_len), rng.randint(0, m))
+            for _ in range(rng.randint(1, 3))
+        )
+        return ThreadWorkload(t, phases, repeat=kind < 0.8)
+
+    workloads = tuple(thread(t) for t in range(k * l))
+    return cfg, workloads, policy, rng.randrange(1 << 64), rng.randint(1, 4)
+
+
+def test_matches_cycle_by_cycle_reference_on_long_quanta():
+    """Quanta of 6 to 24 periods of L x latency, with constant and long
+    phases: the fast-forward skips whole periods, and the corpus is checked
+    to cover each event that can end a skip and each kind of migration."""
+    rng = random.Random(2021)
+    seen = dict.fromkeys(
+        (
+            "migration, penalty 0",
+            "migration, penalty up to Q",
+            "migration, penalty over Q",
+            "constant threads",
+            "non-repeating phases",
+            "window = quantum",
+        ),
+        0,
+    )
+    for case in range(320):
+        args = long_machine(rng, tuple(Policy)[case % len(Policy)])
+        workloads = args[1]
+        got = run_simulation(*args)
+        assert got == run_reference(*args), f"case {case}: {args}"
+        kind = migration_kind(got)
+        if kind:
+            seen[f"migration, penalty {kind}"] += 1
+        seen["constant threads"] += any(len(w.phases) == 1 and w.repeat for w in workloads)
+        seen["non-repeating phases"] += any(not w.repeat for w in workloads)
+        seen["window = quantum"] += args[0].window_cycles == args[0].quantum_cycles
+    assert min(seen.values()) >= 20, seen
+
+
+def test_matches_cycle_by_cycle_reference_on_sixteen_processors():
+    """K = 16 with long quanta: many processors settle and skip at different
+    cycles, and their parked requests retire among the others'."""
+    rng = random.Random(2022)
+    policies = [p for p in Policy if p is not Policy.OPTIMAL]
+    seen = dict.fromkeys(("migration, penalty 0", "migration, penalty > 0", "window < quantum"), 0)
+    for case in range(40):
+        args = long_machine(rng, policies[case % len(policies)], min_k=16, max_k=16)
+        got = run_simulation(*args)
+        assert got == run_reference(*args), f"case {case}: {args}"
+        kind = migration_kind(got)
+        if kind:
+            seen["migration, penalty " + ("0" if kind == "0" else "> 0")] += 1
+        seen["window < quantum"] += args[0].window_cycles < args[0].quantum_cycles
+    assert min(seen.values()) >= 5, seen

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mlpsched.core import ConfigError, SystemConfig, processor_load
+from mlpsched.core import ConfigError, ScheduleQuality, SystemConfig, processor_load
 from mlpsched.engine import run_simulation
 import mlpsched.experiments as experiments
 from mlpsched.experiments import (
@@ -261,6 +261,29 @@ def test_measure_rejects_empty_window():
     (rep,) = run_policies(config)
     with pytest.raises(ValueError, match="warmup"):
         measure(rep, 1)
+
+
+def test_measure_adds_float_metrics_left_to_right():
+    """Ten quanta of gap 0.1 average to the left-to-right sum over ten,
+    0.09999999999999999, on every Python version; the builtin ``sum`` gives
+    0.1 from Python 3.12, which would change the summary's bytes."""
+    system = SystemConfig(num_processors=2, slots_per_processor=1, quantum_cycles=50, window_cycles=50)
+    workloads = (ThreadWorkload(0, (Phase(1 << 30, 1),)), ThreadWorkload(1, (Phase(1 << 30, 0),)))
+    report = run_simulation(system, workloads, "static", 0, 10)
+    quality = ScheduleQuality(
+        per_processor_mlp_sum=(0.1, 0.0),
+        max_sum=0.1,
+        min_sum=0.0,
+        gap=0.1,
+        per_processor_oversubscription=(0.1, 0.0),
+    )
+    report = replace(report, per_quantum=tuple(replace(r, quality=quality) for r in report.per_quantum))
+    total = 0.0
+    for _ in range(10):
+        total += 0.1
+    metrics = measure(report)
+    assert metrics.mean_gap == total / 10 == 0.09999999999999999
+    assert metrics.mean_oversubscription == total / 20
 
 
 # table writers
