@@ -31,18 +31,20 @@ added min(latency, C - i) = latency - (completion - C) to its thread's and
 its pool's integral, or exactly latency once retired.  An owner's integral
 over cycles [0, C) is therefore latency x (requests retired + requests in
 flight) - the sum of (completion - C) over its in-flight requests.  The
-engine reads it from the in-flight groups at the two cycles that need it: the
-window start and the quantum boundary (the windowed sum a quantum samples is
-the growth in between), and the pools' integrals once, at the end.
+engine reads it from the in-flight groups at the two cycles that need it, the
+ends of a quantum's two spans: the window start and the quantum boundary
+(the windowed sum a quantum samples is the growth in between).  Both reads
+count only the quantum's own retires, an offset the growth cancels.  The
+whole-run integrals, the threads' and the pools', are read once, at the end.
 
 *Events.*  Retire and issue run only at event cycles, the earliest of: an
-in-flight group's completion, some thread's phase end, a migrated thread's
-unfreeze, the window start and the quantum boundary.  A constant thread, one
-whose single phase repeats, keeps its demand for the whole run, so its phase
-ends are no events; idle padding threads and the config's ``demands``
-shorthand are such threads.  Between two events nothing touches any
-processor (next rule), so the skipped cycles change no count but the
-stalls, which are added in bulk.
+in-flight group's completion, some thread's cap change (a phase end, or a
+migrated thread's unfreeze), the window start and the quantum boundary.  A
+constant thread, one whose single phase repeats, keeps its demand for the
+whole run, so its phase ends are no events; idle padding threads and the
+config's ``demands`` shorthand are such threads.  Between two events nothing
+touches any processor (next rule), so the skipped cycles change no count but
+the stalls, which are added in bulk.
 
 *Touched processors.*  A processor's issue round ends with its pool full or
 with every resident at its cap: its demand, or 0 while frozen after a
@@ -66,24 +68,27 @@ full pool and the cycle of that round, and those threads gain the cycles up
 to its next round or the quantum boundary, whichever is first.
 
 *Periodic fast-forward.*  Let P = L x latency, and let a processor's
-horizon be the earliest of a resident's next phase end, the next pending
-unfreeze and the quantum boundary.  Once the quantum's first ``latency``
-cycles are over, its pool holds only its residents' requests, so until the
-horizon only its own retires touch it (previous rule), and its rounds depend
-on nothing but its in-flight groups, its residents' outstanding counts and
-the start slot.  After such a round at cycle c, with the horizon more than
-2P away, the engine records that state (groups as completion - c, and the
-stalled list) and the counters the processor drives: its residents'
-completed and stalls and its pool's issued requests.  If its round at c + P
-finds the same state, every later period before the horizon repeats that
-one exactly, since the start slot repeats too (P is a multiple of L).  The
-engine then jumps ``times`` periods at once, to the last period end strictly
-before the horizon, and before the window start if that is still ahead, as
-the window start reads every thread's true occupancy.  It adds ``times``
-copies of each counter's growth over the period and moves the processor's
-groups and the cycle of its last round ``times`` x P later.  It lands on
-the recorded state, so the record stands: a jump stopped by the window start
-goes on one period later.
+horizon be the earlier of its residents' next cap change (a phase end, or
+the unfreeze of a frozen resident) and the quantum boundary.  Once the
+quantum's first ``latency`` cycles are over, its pool holds only its
+residents' requests, so until the horizon only its own retires touch it
+(previous rule), and its rounds depend on nothing but its in-flight groups
+and the start slot: the residents' outstanding counts are their requests in
+those groups, and the threads a round leaves wanting follow from those
+counts and the fixed caps.  After such a round at cycle c, with the horizon
+more than 2P away, the engine records the groups (as completion - c) and the
+counters the processor drives: its residents' completed and stalls and its
+pool's issued requests.  If its round at c + P finds the same groups, every
+later period before the horizon repeats that one exactly, since the start
+slot repeats too (P is a multiple of L).  The engine then jumps ``times``
+>= 1 periods at once, to the last period end strictly before the horizon
+and before the end of the current span.  A quantum runs as two spans, up to
+the window start and up to the boundary, and each span end is where the
+engine reads every thread's true occupancy.  A jump adds ``times`` copies of
+each counter's growth over the period and moves the processor's groups and
+the cycle of its last round ``times`` x P later.  It lands on the recorded
+state, so the record stands while the horizon is more than 2P away: a jump
+the window start stopped goes on one period after it.
 
 Everything is integer arithmetic over plain lists, so a run is bitwise
 deterministic in (config, workloads, policy, seed, total_quanta).  The
@@ -165,14 +170,16 @@ class SimulationReport:
     totals: SimulationTotals
 
 
-def _occupancy(now, latency, retired_before, retired, outstanding, groups) -> list[int]:
-    """Each thread's occupancy integral over cycles [0, now).
+def _occupancy(now, latency, retired, outstanding, groups) -> list[int]:
+    """Each thread's occupancy integral over cycles [0, now), less ``latency``
+    per request it retired before ``retired`` began counting.
 
-    A thread's requests issued before ``now`` are those retired in earlier
-    quanta, those retired in this one, and those still in flight; each
-    in-flight request still lacks ``completion - now`` of its ``latency``.
+    A thread's requests issued before ``now`` are those retired and those
+    still in flight; each in-flight request still lacks ``completion - now``
+    of its ``latency``.  Two reads whose ``retired`` began at the same cycle
+    differ by exactly the integral between them.
     """
-    occ = [latency * (a + b + o) for a, b, o in zip(retired_before, retired, outstanding)]
+    occ = [latency * (r + o) for r, o in zip(retired, outstanding)]
     for completion, _, threads in groups:
         ahead = completion - now
         for t in threads:
@@ -232,22 +239,18 @@ def run_simulation(
         table[0][0] if len(table) > 1 or not repeat[t] else math.inf
         for t, table in enumerate(phase_tables)
     ]
-    # (first cycle of the thread's next phase, thread), kept sorted: the head
-    # is the earliest phase end, and only a phase end moves it.  A thread
-    # that ran out of phases (repeat off) leaves the list, and a constant
-    # thread (one repeating phase) never enters it; the tail sentinel is
-    # never reached, so the list is never empty.
-    phase_ends = sorted((end, t) for t, end in enumerate(next_end) if end < math.inf)
-    phase_ends.append((math.inf, n))
     frozen = [0] * n  # a migrated thread may not issue before this cycle
     cap = demand[:]  # how many requests a thread may hold: 0 while frozen
-    unfreezes = deque()  # (cycle, threads migrated at one boundary), in order
+    # (cycle, thread) whenever the thread's cap may change, at its next phase
+    # end or at its unfreeze, kept sorted so the head is the earliest.  A
+    # thread that ran out of phases (repeat off) gets no more phase ends, and
+    # a constant thread (one repeating phase) none at all; an unfreeze a
+    # later migration overtook is dropped when reached.  The tail sentinel is
+    # never reached, so the list is never empty.
+    cap_changes = sorted((end, t) for t, end in enumerate(next_end) if end < math.inf)
+    cap_changes.append((math.inf, n))
     stalled = [[] for _ in range(k)]  # left wanting at a full pool by the last round
     since = [0] * k  # the cycle of each processor's last round
-    completed = [0] * n
-    stalls = [0] * n
-    completed_total = [0] * n
-    stalls_total = [0] * n
     period = l * latency
 
     schedule = initial_schedule(config)
@@ -261,198 +264,182 @@ def run_simulation(
         # its slots from start slot s.
         rings = [owned + owned for owned in owners]
         boundary = cycle + q_len
-        window_start = boundary - window
         # Groups completing before this were issued in an earlier quantum,
         # so they may hold a migrated thread's requests.
         drain_end = cycle + latency
         touched = set(range(k))
+        # Per thread, this quantum's retired requests and stall cycles.
+        completed = [0] * n
+        stalls = [0] * n
         # Per processor, the cycle of its last fast-forward check (rule 4)
-        # and what that check recorded: (state, counters), or None.  Checks
-        # start after the drain, and only in a quantum with room for a
-        # record whose next check can jump (see the end of a check).
-        roomy = drain_end + 2 * period < window_start or (
-            max(drain_end, window_start) + 2 * period < boundary
-        )
-        checked = [(drain_end if roomy else boundary) - period] * k
+        # and what that check recorded: (groups, counters), or None.  Checks
+        # start after the drain.
+        checked = [drain_end - period] * k
         settled = [None] * k
-
-        while cycle < boundary:
-            while phase_ends[0][0] == cycle:
-                t = phase_ends.pop(0)[1]
-                table = phase_tables[t]
-                idx = phase_idx[t] + 1
-                if idx < len(table) or repeat[t]:
-                    idx %= len(table)
-                    phase_idx[t] = idx
-                    duration, demand[t] = table[idx]
-                    next_end[t] = cycle + duration
-                    insort(phase_ends, (next_end[t], t))
-                else:
-                    demand[t] = 0
-                    next_end[t] = math.inf
-                if frozen[t] <= cycle:
-                    cap[t] = demand[t]
-                    touched.add(where[t])
-            while unfreezes and unfreezes[0][0] == cycle:
-                for t in unfreezes.popleft()[1]:
-                    if frozen[t] == cycle:  # not migrated again since
+        # Two spans, each ending with an occupancy read: up to the window
+        # start, then up to the boundary.
+        reads = []
+        for span_end in (boundary - window, boundary):
+            while cycle < span_end:
+                while cap_changes[0][0] == cycle:
+                    t = cap_changes.pop(0)[1]
+                    if next_end[t] == cycle:
+                        table = phase_tables[t]
+                        idx = phase_idx[t] + 1
+                        if idx < len(table) or repeat[t]:
+                            idx %= len(table)
+                            phase_idx[t] = idx
+                            duration, demand[t] = table[idx]
+                            next_end[t] = cycle + duration
+                            insort(cap_changes, (next_end[t], t))
+                        else:
+                            demand[t] = 0
+                            next_end[t] = math.inf
+                    if frozen[t] <= cycle:
                         cap[t] = demand[t]
                         touched.add(where[t])
-            if cycle == window_start:
-                window_base = _occupancy(
-                    cycle, latency, completed_total, completed, outstanding, chain(inflight, parked)
-                )
 
-            while parked and parked[0][0] == cycle:
-                inflight.appendleft(parked.pop(0))
-            while inflight and inflight[0][0] == cycle:
-                _, p, threads = inflight.popleft()
-                used[p] -= len(threads)
-                for t in threads:
-                    outstanding[t] -= 1
-                    completed[t] += 1
-                touched.add(p)
-                if cycle < drain_end:
-                    touched.update([where[t] for t in threads])
+                while parked and parked[0][0] == cycle:
+                    inflight.appendleft(parked.pop(0))
+                while inflight and inflight[0][0] == cycle:
+                    _, p, threads = inflight.popleft()
+                    used[p] -= len(threads)
+                    for t in threads:
+                        outstanding[t] -= 1
+                        completed[t] += 1
+                    touched.add(p)
+                    if cycle < drain_end:
+                        touched.update([where[t] for t in threads])
 
-            start = cycle % l
-            completion = cycle + latency
-            for p in touched:
-                wanting = stalled[p]
-                if wanting:
-                    gap = cycle - since[p]
-                    for t in wanting:
-                        stalls[t] += gap
-                since[p] = cycle
-                free = mshrs - used[p]
-                # Single-grant rounds over the rotating slot order split a
-                # scarce pool evenly (within one request) among the wanting
-                # threads; what the last round leaves wanting is the stalls.
-                granted = []
-                wanting = rings[p][start:start + l]
-                while True:
-                    left = []
-                    for t in wanting:
-                        held = outstanding[t]
-                        if held < cap[t]:
-                            if free:
-                                free -= 1
-                                held += 1
-                                outstanding[t] = held
-                                granted.append(t)
-                                if held < cap[t]:
+                start = cycle % l
+                completion = cycle + latency
+                for p in touched:
+                    wanting = stalled[p]
+                    if wanting:
+                        gap = cycle - since[p]
+                        for t in wanting:
+                            stalls[t] += gap
+                    since[p] = cycle
+                    free = mshrs - used[p]
+                    # Single-grant rounds over the rotating slot order split a
+                    # scarce pool evenly (within one request) among the wanting
+                    # threads; what the last round leaves wanting is the stalls.
+                    granted = []
+                    wanting = rings[p][start:start + l]
+                    while True:
+                        left = []
+                        for t in wanting:
+                            held = outstanding[t]
+                            if held < cap[t]:
+                                if free:
+                                    free -= 1
+                                    held += 1
+                                    outstanding[t] = held
+                                    granted.append(t)
+                                    if held < cap[t]:
+                                        left.append(t)
+                                else:
                                     left.append(t)
-                            else:
-                                left.append(t)
-                    if not (free and left):
-                        break
-                    wanting = left
-                stalled[p] = left
-                if granted:
-                    inflight.append((completion, p, granted))
-                    used[p] += len(granted)
-                    pool_issued[p] += len(granted)
-                if cycle - checked[p] < period:
-                    continue
-                residents = owners[p]
-                horizon = min(boundary, *[next_end[t] for t in residents])
-                if unfreezes and unfreezes[0][0] < horizon:
-                    horizon = unfreezes[0][0]
-                # A jump stops short of the horizon and of the window start,
-                # whose read needs every thread's true occupancy.
-                end = window_start if cycle < window_start < horizon else horizon
-                record = settled[p] if cycle - checked[p] == period else None
-                if not record and end - cycle <= 2 * period:
-                    # No jump can start before the end, so the next check
-                    # waits for it.
-                    checked[p] = end - period
-                    settled[p] = None
-                    continue
-                mine = [(c - cycle, g) for c, owner, g in inflight if owner == p]
-                state = (mine, [outstanding[t] for t in residents], left)
-                counters = [completed[t] for t in residents] + [stalls[t] for t in residents]
-                counters.append(pool_issued[p])
-                at = cycle
-                if record and record[0] == state:
+                        if not (free and left):
+                            break
+                        wanting = left
+                    stalled[p] = left
+                    if granted:
+                        inflight.append((completion, p, granted))
+                        used[p] += len(granted)
+                        pool_issued[p] += len(granted)
+                    if cycle - checked[p] < period:
+                        continue
+                    residents = owners[p]
+                    horizon = min(
+                        boundary,
+                        *[next_end[t] if frozen[t] <= cycle else frozen[t] for t in residents],
+                    )
+                    # A jump stops short of the horizon and of the span end,
+                    # whose read needs every thread's true occupancy.
+                    end = horizon if horizon < span_end else span_end
+                    record = settled[p] if cycle - checked[p] == period else None
+                    if not record and end - cycle <= 2 * period:
+                        # No jump can start before the end, so the next check
+                        # waits for it.
+                        checked[p] = end - period
+                        settled[p] = None
+                        continue
+                    mine = [(c - cycle, g) for c, owner, g in inflight if owner == p]
+                    counters = [completed[t] for t in residents] + [stalls[t] for t in residents]
+                    counters.append(pool_issued[p])
+                    at = cycle
                     times = (end - cycle - 1) // period
-                    counters = [now + times * (now - then) for now, then in zip(counters, record[1])]
-                    for t, done, stalled_for in zip(residents, counters, counters[l:]):
-                        completed[t] = done
-                        stalls[t] = stalled_for
-                    pool_issued[p] = counters[-1]
-                    at = since[p] = cycle + times * period
-                    parked += [(at + ahead, p, g) for ahead, g in mine]
-                    parked.sort()
-                    kept = [group for group in inflight if group[1] != p]
-                    inflight.clear()
-                    inflight.extend(kept)
-                checked[p] = at
-                # Keep the record only while the check one period on can
-                # still jump; a jump the window start stopped goes on after it.
-                at += period
-                end = window_start if at < window_start < horizon else horizon
-                settled[p] = (state, counters) if end - at > period else None
-            touched.clear()
+                    if times and record and record[0] == mine:
+                        counters = [now + times * (now - then) for now, then in zip(counters, record[1])]
+                        for t, done, stalled_for in zip(residents, counters, counters[l:]):
+                            completed[t] = done
+                            stalls[t] = stalled_for
+                        pool_issued[p] = counters[-1]
+                        at = since[p] = cycle + times * period
+                        parked += [(at + ahead, p, g) for ahead, g in mine]
+                        parked.sort()
+                        kept = [group for group in inflight if group[1] != p]
+                        inflight.clear()
+                        inflight.extend(kept)
+                    checked[p] = at
+                    # Keep the record while the check one period on has room
+                    # to jump before the horizon; if the window start leaves
+                    # it none, the check after that jumps.
+                    settled[p] = (mine, counters) if horizon - at > 2 * period else None
+                touched.clear()
 
-            next_event = window_start if cycle < window_start else boundary
-            if phase_ends[0][0] < next_event:
-                next_event = phase_ends[0][0]
-            if unfreezes and unfreezes[0][0] < next_event:
-                next_event = unfreezes[0][0]
-            if inflight and inflight[0][0] < next_event:
-                next_event = inflight[0][0]
-            if parked and parked[0][0] < next_event:
-                next_event = parked[0][0]
-            cycle = next_event
+                next_event = span_end
+                if cap_changes[0][0] < next_event:
+                    next_event = cap_changes[0][0]
+                if inflight and inflight[0][0] < next_event:
+                    next_event = inflight[0][0]
+                if parked and parked[0][0] < next_event:
+                    next_event = parked[0][0]
+                cycle = next_event
+            reads.append(_occupancy(cycle, latency, completed, outstanding, chain(inflight, parked)))
+        window_base, occ = reads
 
         for p, wanting in enumerate(stalled):
             gap = boundary - since[p]
             for t in wanting:
                 stalls[t] += gap
         since = [boundary] * k
-        occ = _occupancy(
-            boundary, latency, completed_total, completed, outstanding, chain(inflight, parked)
-        )
         mlp = tuple((a - b) / window for a, b in zip(occ, window_base))
         chosen = next_schedule(policy, mlp, config, schedule, quantum_seed(seed, q))
-        quality = processor_load(chosen, mlp, config)
-        completed_q = tuple(completed)
-        stalls_q = tuple(stalls)
         records.append(
             QuantumRecord(
                 index=q,
                 sampled_mlp=mlp,
                 schedule=schedule,
                 chosen=chosen,
-                quality=quality,
-                completed=completed_q,
-                stalls=stalls_q,
+                quality=processor_load(chosen, mlp, config),
+                completed=tuple(completed),
+                stalls=tuple(stalls),
             )
         )
-        for t in range(n):
-            completed_total[t] += completed_q[t]
-            stalls_total[t] += stalls_q[t]
-            completed[t] = 0
-            stalls[t] = 0
-        migrated = [t for t in range(n) if chosen.placement[t][0] != where[t]]
-        if penalty and migrated:
-            for t in migrated:
+        for t, (p, _) in enumerate(chosen.placement):
+            if penalty and p != where[t]:
                 frozen[t] = boundary + penalty
                 cap[t] = 0
-            unfreezes.append((boundary + penalty, migrated))
+                insort(cap_changes, (frozen[t], t))
         schedule = chosen
 
     cycles = total_quanta * q_len
     pool_total = [latency * issued for issued in pool_issued]
     for completion, p, threads in chain(inflight, parked):
         pool_total[p] -= (completion - cycles) * len(threads)
-    total_completed = sum(completed_total)
+    completed = [sum(counts) for counts in zip(*[r.completed for r in records])]
+    stalls = [sum(counts) for counts in zip(*[r.stalls for r in records])]
+    total_completed = sum(completed)
     totals = SimulationTotals(
-        completed_per_thread=tuple(completed_total),
+        completed_per_thread=tuple(completed),
         completed=total_completed,
-        stall_cycles_per_thread=tuple(stalls_total),
-        stall_cycles=sum(stalls_total),
-        occupancy_integral=tuple(occ),
+        stall_cycles_per_thread=tuple(stalls),
+        stall_cycles=sum(stalls),
+        occupancy_integral=tuple(
+            _occupancy(cycles, latency, completed, outstanding, chain(inflight, parked))
+        ),
         mean_processor_occupancy=tuple(pt / cycles for pt in pool_total),
         cycles=cycles,
         throughput=total_completed / cycles,

@@ -186,13 +186,16 @@ def _parse_phases(raw, field: str) -> tuple[Phase, ...]:
     return tuple(phases)
 
 
-def _parse_workloads(section, config_dir: str) -> tuple[ThreadWorkload, ...]:
+def _parse_workloads(
+    section, config_dir: str, system: SystemConfig
+) -> tuple[ThreadWorkload, ...]:
     """Materialize the workload source; exactly one source form is allowed.
 
     Forms: ``trace`` (path, relative to the config file), ``synthetic``
     (WorkloadSpec fields + n_threads + seed), ``threads`` (explicit phase
     lists), or ``demands`` (shorthand: one constant-demand repeating phase
-    per thread).
+    per thread).  A synthetic thread count above the machine's K*L slots is
+    refused before any thread is generated.
     """
     section = _as_mapping(section, "workload")
     forms = [k for k in ("trace", "synthetic", "threads", "demands") if k in section]
@@ -214,6 +217,12 @@ def _parse_workloads(section, config_dir: str) -> tuple[ThreadWorkload, ...]:
         if "n_threads" not in raw:
             raise _fail("workload.synthetic.n_threads", "required")
         n_threads = _as_int(raw["n_threads"], "workload.synthetic.n_threads")
+        if n_threads > system.num_threads:
+            raise _fail(
+                "workload.synthetic.n_threads",
+                f"{n_threads} threads but the machine has {system.num_processors}*"
+                f"{system.slots_per_processor} = {system.num_threads} slots",
+            )
         seed = _as_int(raw.get("seed", 0), "workload.synthetic.seed")
         spec_kwargs = {
             key: parse(raw[key], f"workload.synthetic.{key}")
@@ -260,10 +269,13 @@ def _parse_policies(raw) -> tuple[Policy, ...]:
     out = []
     for name in raw:
         try:
-            out.append(Policy(name))
+            policy = Policy(name)
         except ValueError:
             known = ", ".join(p.value for p in Policy)
             raise _fail("policies", f"unknown policy {_shown(name)} (known: {known})") from None
+        if policy in out:
+            raise _fail("policies", f"{policy.value} is listed twice")
+        out.append(policy)
     return tuple(out)
 
 
@@ -295,9 +307,12 @@ def load_experiment(path: str) -> ExperimentConfig:
         if required not in doc:
             raise _fail(required, "required")
 
+    system = _parse_system(doc.get("system", {}))
     return ExperimentConfig(
-        system=_parse_system(doc.get("system", {})),
-        workloads=_parse_workloads(doc["workload"], os.path.dirname(os.path.abspath(path))),
+        system=system,
+        workloads=_parse_workloads(
+            doc["workload"], os.path.dirname(os.path.abspath(path)), system
+        ),
         policies=_parse_policies(doc["policies"]),
         quanta=_as_int(doc.get("quanta", 1), "quanta"),
         warmup_quanta=_as_int(doc.get("warmup_quanta", 0), "warmup_quanta"),

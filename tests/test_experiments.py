@@ -131,6 +131,28 @@ def test_load_rejects_unknown_policy_naming_it(tmp_path):
         load_experiment(write_config(tmp_path, base_doc(policies=["serpentine", "frobnicate"])))
 
 
+def test_load_rejects_policy_listed_twice(tmp_path):
+    doc = base_doc(policies=["serpentine", "static", "serpentine"])
+    with pytest.raises(ConfigError, match=r"^config field 'policies': serpentine is listed twice$"):
+        load_experiment(write_config(tmp_path, doc))
+
+
+def test_load_refuses_synthetic_thread_count_above_slots_before_generating(
+    tmp_path, monkeypatch
+):
+    def generate_synthetic(*args):
+        raise AssertionError("generated threads for a count the machine cannot hold")
+
+    monkeypatch.setattr(experiments, "generate_synthetic", generate_synthetic)
+    doc = base_doc(workload={"synthetic": {"n_threads": 100_000_000}})
+    expected = (
+        r"^config field 'workload.synthetic.n_threads': "
+        r"100000000 threads but the machine has 2\*2 = 4 slots$"
+    )
+    with pytest.raises(ConfigError, match=expected):
+        load_experiment(write_config(tmp_path, doc))
+
+
 def test_load_rejects_missing_workload(tmp_path):
     doc = base_doc()
     del doc["workload"]
@@ -214,8 +236,9 @@ def test_load_rejects_bad_sweep_key(tmp_path):
 
 
 def test_run_policies_identical_seeds_across_policies(tmp_path):
-    doc = base_doc(policies=["serpentine", "serpentine"])
-    config = load_experiment(write_config(tmp_path, doc))
+    # a loaded config refuses a policy listed twice; a built one may hold it
+    config = load_experiment(write_config(tmp_path, base_doc()))
+    config = replace(config, policies=(Policy.SERPENTINE, Policy.SERPENTINE))
     a, b = run_policies(config)
     assert a == b  # same policy, same seed, same workloads
 
