@@ -25,10 +25,11 @@ import os
 import sys
 from typing import Sequence
 
-from .core import ConfigError
+from .core import _shown
 from .experiments import (
     _MAX_SEED,
     ExperimentConfig,
+    _fail,
     load_experiment,
     measure,
     run_oracle_check,
@@ -48,9 +49,9 @@ def _seed_value(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {_shown(text)}") from None
     if not 0 <= value < _MAX_SEED:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {text}")
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {_shown(value)}")
     return value
 
 
@@ -98,7 +99,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _load(args)
     if len(config.policies) < 2:
-        raise ConfigError("config field 'policies': compare needs at least two policies")
+        raise _fail("policies", "compare needs at least two policies")
     reports = run_policies(config)
     metrics = [measure(r, config.warmup_quanta) for r in reports]
     os.makedirs(args.out, exist_ok=True)

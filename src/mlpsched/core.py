@@ -45,6 +45,12 @@ def _shown(value) -> str:
     return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
 
 
+def _slots(config: SystemConfig) -> str:
+    """A machine's thread slots for an error message, ``K*L = N``, each value shown."""
+    k, l = config.num_processors, config.slots_per_processor
+    return f"{_shown(k)}*{_shown(l)} = {_shown(k * l)}"
+
+
 class InvalidScheduleError(ValueError):
     """A thread placement violates the bijection constraints."""
 
@@ -82,14 +88,14 @@ class SystemConfig:
         for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+                raise ConfigError(f"{name} must be a positive integer, got {_shown(value)}")
         penalty = self.migration_penalty
         if isinstance(penalty, bool) or not isinstance(penalty, int) or penalty < 0:
-            raise ConfigError(f"migration_penalty must be a non-negative integer, got {penalty!r}")
+            raise ConfigError(f"migration_penalty must be a non-negative integer, got {_shown(penalty)}")
         if self.window_cycles > self.quantum_cycles:
             raise ConfigError(
-                f"window_cycles ({self.window_cycles}) must not exceed "
-                f"quantum_cycles ({self.quantum_cycles})"
+                f"window_cycles ({_shown(self.window_cycles)}) must not exceed "
+                f"quantum_cycles ({_shown(self.quantum_cycles)})"
             )
 
     @property

@@ -103,6 +103,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from itertools import cycle as cycled
 from typing import Sequence
 
 from .core import (
@@ -231,22 +232,26 @@ def run_simulation(
     pool_issued = [0] * k  # requests ever issued, per pool
     owners = [[-1] * l for _ in range(k)]  # [processor][slot] -> thread
     outstanding = [0] * n  # per thread, across both pools during a migration
-    phase_tables = [[(ph.duration, ph.demand) for ph in w.phases] for w in workloads]
-    repeat = [w.repeat for w in workloads]
-    phase_idx = [0] * n
-    demand = [table[0][1] for table in phase_tables]
-    next_end = [
-        table[0][0] if len(table) > 1 or not repeat[t] else math.inf
-        for t, table in enumerate(phase_tables)
-    ]
+    # Each thread's phases as an endless iterator of (duration, demand): a
+    # repeating thread cycles its list, one that does not repeat ends in an
+    # idle phase that never ends, and a constant thread (one repeating
+    # phase) holds its demand forever.
+    upcoming = []
+    for w in workloads:
+        steps = [(ph.duration, ph.demand) for ph in w.phases]
+        if not w.repeat:
+            steps.append((math.inf, 0))
+        elif len(steps) == 1:
+            steps = [(math.inf, steps[0][1])]
+        upcoming.append(cycled(steps))
+    next_end, demand = map(list, zip(*map(next, upcoming)))
     frozen = [0] * n  # a migrated thread may not issue before this cycle
     cap = demand[:]  # how many requests a thread may hold: 0 while frozen
     # (cycle, thread) whenever the thread's cap may change, at its next phase
     # end or at its unfreeze, kept sorted so the head is the earliest.  A
-    # thread that ran out of phases (repeat off) gets no more phase ends, and
-    # a constant thread (one repeating phase) none at all; an unfreeze a
-    # later migration overtook is dropped when reached.  The tail sentinel is
-    # never reached, so the list is never empty.
+    # phase that never ends is never listed; an unfreeze a later migration
+    # overtook is dropped when reached.  The tail sentinel is never reached,
+    # so the list is never empty.
     cap_changes = sorted((end, t) for t, end in enumerate(next_end) if end < math.inf)
     cap_changes.append((math.inf, n))
     stalled = [[] for _ in range(k)]  # left wanting at a full pool by the last round
@@ -284,17 +289,10 @@ def run_simulation(
                 while cap_changes[0][0] == cycle:
                     t = cap_changes.pop(0)[1]
                     if next_end[t] == cycle:
-                        table = phase_tables[t]
-                        idx = phase_idx[t] + 1
-                        if idx < len(table) or repeat[t]:
-                            idx %= len(table)
-                            phase_idx[t] = idx
-                            duration, demand[t] = table[idx]
-                            next_end[t] = cycle + duration
+                        duration, demand[t] = next(upcoming[t])
+                        next_end[t] = cycle + duration
+                        if duration < math.inf:
                             insort(cap_changes, (next_end[t], t))
-                        else:
-                            demand[t] = 0
-                            next_end[t] = math.inf
                     if frozen[t] <= cycle:
                         cap[t] = demand[t]
                         touched.add(where[t])

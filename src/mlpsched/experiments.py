@@ -25,15 +25,16 @@ import itertools
 import json
 import operator
 import os.path
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from .core import ConfigError, SystemConfig, _shown, processor_load
+from .core import ConfigError, SystemConfig, _shown, _slots, processor_load
 from .engine import SimulationReport, run_simulation
 from .policies import (
-    MAX_EXHAUSTIVE_THREADS,
     Policy,
+    _check_oracle_cap,
     optimal_partition,
     serpentine_schedule,  # noqa: F401  perfbench/traced.py times calls through this name
 )
@@ -81,6 +82,19 @@ SWEEPABLE_FIELDS = _SYSTEM_FIELDS + ("seed", "quanta")
 _MAX_SEED = 1 << 64
 
 
+def _fail(field: str, problem: str) -> ConfigError:
+    return ConfigError(f"config field '{field}': {problem}")
+
+
+@contextmanager
+def _naming(field: str):
+    """Re-raise a value check's error as a config error that names ``field``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _fail(field, str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: machine, workloads (unpadded), policies, run lengths.
@@ -100,36 +114,41 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if not self.policies:
-            raise ConfigError("config field 'policies': must list at least one policy")
+            raise _fail("policies", "must list at least one policy")
         if self.quanta < 1:
-            raise ConfigError(f"config field 'quanta': must be >= 1, got {self.quanta}")
+            raise _fail("quanta", f"must be >= 1, got {_shown(self.quanta)}")
         if not 0 <= self.warmup_quanta < self.quanta:
-            raise ConfigError(
-                f"config field 'warmup_quanta': must be in [0, quanta), "
-                f"got {self.warmup_quanta} with quanta {self.quanta}"
+            raise _fail(
+                "warmup_quanta",
+                f"must be in [0, quanta), got {_shown(self.warmup_quanta)} "
+                f"with quanta {_shown(self.quanta)}",
             )
         if not 0 <= self.seed < _MAX_SEED:
-            raise ConfigError(f"config field 'seed': must be in [0, 2^64), got {self.seed}")
-        system = self.system
-        if Policy.OPTIMAL in self.policies and system.num_threads > MAX_EXHAUSTIVE_THREADS:
-            raise ConfigError(
-                f"config field 'policies': optimal needs K*L <= {MAX_EXHAUSTIVE_THREADS} "
-                f"threads, the machine has {system.num_processors}*"
-                f"{system.slots_per_processor} = {system.num_threads}"
-            )
-        try:
-            pad_workloads(self.workloads, system)
-        except ConfigError as exc:
-            raise ConfigError(f"config field 'workload': {exc}") from exc
+            raise _fail("seed", f"must be in [0, 2^64), got {_shown(self.seed)}")
+        if Policy.OPTIMAL in self.policies:
+            with _naming("policies"):
+                _check_oracle_cap(self.system)
+        with _naming("workload"):
+            pad_workloads(self.workloads, self.system)
 
 
-def _fail(field: str, problem: str) -> ConfigError:
-    return ConfigError(f"config field '{field}': {problem}")
-
-
-def _as_mapping(value, field: str) -> dict:
+def _section(
+    value, field: str, known: Sequence[str], required: Sequence[str] = (), unknown="unknown field"
+) -> dict:
+    """``value`` as a JSON object, checked in order: it is an object, it has
+    no key outside ``known`` (refused with ``unknown``), and it has every
+    ``required`` key.  Keys are named ``field.key``; the document's field is
+    ``""``.
+    """
     if not isinstance(value, dict):
-        raise _fail(field, "expected an object")
+        raise _fail(field or "<document>", "expected an object")
+    prefix = f"{field}." if field else ""
+    for key in value:
+        if key not in known:
+            raise _fail(prefix + key, unknown)
+    for key in required:
+        if key not in value:
+            raise _fail(prefix + key, "required")
     return value
 
 
@@ -151,6 +170,8 @@ def _as_range(value, field: str) -> tuple[int, int]:
     return (_as_int(value[0], field), _as_int(value[1], field))
 
 
+_WORKLOAD_FORMS = ("trace", "synthetic", "threads", "demands")
+
 # The WorkloadSpec fields of the ``workload.synthetic`` section, each with its parser.
 _SPEC_PARSERS = {
     "phases_per_thread": _as_int,
@@ -160,15 +181,8 @@ _SPEC_PARSERS = {
 }
 
 
-def _reject_unknown(section: dict, known: Sequence[str], field: str) -> None:
-    for key in section:
-        if key not in known:
-            raise _fail(f"{field}.{key}" if field else key, "unknown field")
-
-
 def _parse_system(section) -> SystemConfig:
-    section = _as_mapping(section, "system")
-    _reject_unknown(section, _SYSTEM_FIELDS, "system")
+    section = _section(section, "system", _SYSTEM_FIELDS)
     fields = {k: _as_int(v, f"system.{k}") for k, v in section.items()}
     return SystemConfig(**fields)
 
@@ -179,10 +193,8 @@ def _parse_phases(raw, field: str) -> tuple[Phase, ...]:
     phases = []
     for i, pair in enumerate(raw):
         duration, demand = _as_range(pair, f"{field}[{i}]")
-        try:
+        with _naming(f"{field}[{i}]"):
             phases.append(Phase(duration=duration, demand=demand))
-        except ValueError as exc:
-            raise _fail(f"{field}[{i}]", str(exc)) from exc
     return tuple(phases)
 
 
@@ -197,11 +209,10 @@ def _parse_workloads(
     per thread).  A synthetic thread count above the machine's K*L slots is
     refused before any thread is generated.
     """
-    section = _as_mapping(section, "workload")
-    forms = [k for k in ("trace", "synthetic", "threads", "demands") if k in section]
+    section = _section(section, "workload", _WORKLOAD_FORMS)
+    forms = [k for k in _WORKLOAD_FORMS if k in section]
     if len(forms) != 1:
-        raise _fail("workload", "provide exactly one of trace, synthetic, threads, demands")
-    _reject_unknown(section, forms, "workload")
+        raise _fail("workload", f"provide exactly one of {', '.join(_WORKLOAD_FORMS)}")
     form = forms[0]
     raw = section[form]
 
@@ -212,16 +223,14 @@ def _parse_workloads(
         return load_trace(path)
 
     if form == "synthetic":
-        raw = _as_mapping(raw, "workload.synthetic")
-        _reject_unknown(raw, ("n_threads", "seed", *_SPEC_PARSERS), "workload.synthetic")
-        if "n_threads" not in raw:
-            raise _fail("workload.synthetic.n_threads", "required")
+        raw = _section(
+            raw, "workload.synthetic", ("n_threads", "seed", *_SPEC_PARSERS), ("n_threads",)
+        )
         n_threads = _as_int(raw["n_threads"], "workload.synthetic.n_threads")
         if n_threads > system.num_threads:
             raise _fail(
                 "workload.synthetic.n_threads",
-                f"{n_threads} threads but the machine has {system.num_processors}*"
-                f"{system.slots_per_processor} = {system.num_threads} slots",
+                f"{_shown(n_threads)} threads but the machine has {_slots(system)} slots",
             )
         seed = _as_int(raw.get("seed", 0), "workload.synthetic.seed")
         spec_kwargs = {
@@ -229,21 +238,15 @@ def _parse_workloads(
             for key, parse in _SPEC_PARSERS.items()
             if key in raw
         }
-        try:
-            spec = WorkloadSpec(**spec_kwargs)
-            return generate_synthetic(spec, n_threads, seed)
-        except ValueError as exc:
-            raise _fail("workload.synthetic", str(exc)) from exc
+        with _naming("workload.synthetic"):
+            return generate_synthetic(WorkloadSpec(**spec_kwargs), n_threads, seed)
 
     if form == "threads":
         if not isinstance(raw, list):
             raise _fail("workload.threads", "expected a list of thread objects")
         out = []
         for i, entry in enumerate(raw):
-            entry = _as_mapping(entry, f"workload.threads[{i}]")
-            _reject_unknown(entry, ("phases", "repeat"), f"workload.threads[{i}]")
-            if "phases" not in entry:
-                raise _fail(f"workload.threads[{i}].phases", "required")
+            entry = _section(entry, f"workload.threads[{i}]", ("phases", "repeat"), ("phases",))
             phases = _parse_phases(entry["phases"], f"workload.threads[{i}].phases")
             repeat = _as_bool(entry.get("repeat", True), f"workload.threads[{i}].repeat")
             out.append(ThreadWorkload(thread=i, phases=phases, repeat=repeat))
@@ -255,17 +258,15 @@ def _parse_workloads(
     out = []
     for i, d in enumerate(raw):
         demand = _as_int(d, f"workload.demands[{i}]")
-        try:
+        with _naming(f"workload.demands[{i}]"):
             phase = Phase(duration=IDLE_PHASE_DURATION, demand=demand)
-        except ValueError as exc:
-            raise _fail(f"workload.demands[{i}]", str(exc)) from exc
         out.append(ThreadWorkload(thread=i, phases=(phase,), repeat=True))
     return tuple(out)
 
 
 def _parse_policies(raw) -> tuple[Policy, ...]:
-    if not isinstance(raw, list) or not raw:
-        raise _fail("policies", "expected a non-empty list of policy names")
+    if not isinstance(raw, list):
+        raise _fail("policies", "expected a list of policy names")
     out = []
     for name in raw:
         try:
@@ -280,11 +281,10 @@ def _parse_policies(raw) -> tuple[Policy, ...]:
 
 
 def _parse_sweep(raw) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    raw = _as_mapping(raw, "sweep")
+    unsweepable = f"not sweepable (choose from {', '.join(SWEEPABLE_FIELDS)})"
+    raw = _section(raw, "sweep", SWEEPABLE_FIELDS, unknown=unsweepable)
     out = []
     for key, values in raw.items():
-        if key not in SWEEPABLE_FIELDS:
-            raise _fail(f"sweep.{key}", f"not sweepable (choose from {', '.join(SWEEPABLE_FIELDS)})")
         if not isinstance(values, list) or not values:
             raise _fail(f"sweep.{key}", "expected a non-empty list of integers")
         out.append((key, tuple(_as_int(v, f"sweep.{key}") for v in values)))
@@ -298,15 +298,12 @@ def load_experiment(path: str) -> ExperimentConfig:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path}: not valid JSON ({exc})") from exc
+        except ValueError as exc:  # not UTF-8, or an integer past the interpreter's digit limit
+            raise ConfigError(f"config {path}: cannot be parsed ({exc})") from None
         except RecursionError:
             raise ConfigError(f"config {path}: nested too deeply to parse") from None
-    doc = _as_mapping(doc, "<document>")
     known = ("system", "workload", "policies", "quanta", "warmup_quanta", "seed", "sweep")
-    _reject_unknown(doc, known, "")
-    for required in ("workload", "policies"):
-        if required not in doc:
-            raise _fail(required, "required")
-
+    doc = _section(doc, "", known, ("workload", "policies"))
     system = _parse_system(doc.get("system", {}))
     return ExperimentConfig(
         system=system,
@@ -468,12 +465,12 @@ def run_sweep(config: ExperimentConfig) -> tuple[tuple[str, ...], list[tuple]]:
     invariant aborts the sweep with the offending values named.
     """
     if not config.sweep:
-        raise ConfigError("config field 'sweep': required for a sweep run")
+        raise _fail("sweep", "required for a sweep run")
     keys = tuple(k for k, _ in config.sweep)
     header = keys + ("policy",) + COMPARE_FIELDS[1:-1]
     points = []
     for point in _sweep_points(config):
-        label = ", ".join(f"{k}={v}" for k, v in point.items())
+        label = ", ".join(f"{k}={_shown(v)}" for k, v in point.items())
         system_fields = {k: v for k, v in point.items() if k in _SYSTEM_FIELDS}
         try:
             point_config = dataclasses.replace(
@@ -517,14 +514,10 @@ def run_oracle_check(config: ExperimentConfig) -> OracleCheck:
     """Drive a serpentine run and score each sampled vector against the oracle.
 
     Ratio convention: a 0/0 quantum (all counters zero) counts as 1.0, since
-    both schedulers are trivially optimal.  Requires N <= 12 threads so the
-    exhaustive oracle stays tractable.
+    both schedulers are trivially optimal.  The machine must pass the
+    oracle's thread cap, checked before the run starts.
     """
-    n = config.system.num_threads
-    if n > MAX_EXHAUSTIVE_THREADS:
-        raise ConfigError(
-            f"oracle check needs K*L <= {MAX_EXHAUSTIVE_THREADS} threads, config has {n}"
-        )
+    _check_oracle_cap(config.system)
     report = run_simulation(
         config.system, config.workloads, Policy.SERPENTINE, config.seed, config.quanta
     )

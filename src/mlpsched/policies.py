@@ -34,7 +34,7 @@ import random
 from enum import Enum
 from typing import Sequence
 
-from .core import Schedule, SystemConfig, validate_schedule
+from .core import ConfigError, Schedule, SystemConfig, _slots, validate_schedule
 
 __all__ = [
     "MAX_EXHAUSTIVE_THREADS",
@@ -50,7 +50,8 @@ __all__ = [
 ]
 
 # The oracle memoises over thread subsets, at most 2**N of them; 12 threads
-# keeps that to 4,096 (4x3 has 15,400 equal-size partitions).
+# keeps that to 4,096 (4x3 has 15,400 equal-size partitions).  Only
+# _check_oracle_cap reads it.
 MAX_EXHAUSTIVE_THREADS = 12
 
 _SEED_MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio increment
@@ -79,6 +80,15 @@ def _check_counters(mlp: Sequence[float], config: SystemConfig) -> None:
     for t, v in enumerate(mlp):
         if not 0 <= v < math.inf:  # also false for NaN
             raise ValueError(f"mlp value of thread {t} must be finite and non-negative, got {v!r}")
+
+
+def _check_oracle_cap(config: SystemConfig) -> None:
+    """The oracle's size rule, for every caller: at most MAX_EXHAUSTIVE_THREADS threads."""
+    if config.num_threads > MAX_EXHAUSTIVE_THREADS:
+        raise ConfigError(
+            f"optimal needs K*L <= {MAX_EXHAUSTIVE_THREADS} threads, "
+            f"the machine has {_slots(config)}"
+        )
 
 
 def _descending_order(mlp: Sequence[float], config: SystemConfig) -> list[int]:
@@ -174,15 +184,12 @@ def optimal_partition(mlp: Sequence[float], config: SystemConfig) -> Schedule:
     smallest key among all ties.  At 4x3 (220 groups, 15,400 splits) a
     decision takes about 1 ms on a 2-vCPU Xeon VM.
 
-    Raises if the counters fail the policy check or N exceeds
-    ``MAX_EXHAUSTIVE_THREADS``.
+    Raises if the counters fail the policy check, or ``ConfigError`` if N
+    exceeds ``MAX_EXHAUSTIVE_THREADS``.
     """
     _check_counters(mlp, config)
+    _check_oracle_cap(config)
     n, l = config.num_threads, config.slots_per_processor
-    if n > MAX_EXHAUSTIVE_THREADS:
-        raise ValueError(
-            f"{n} threads exceeds the exhaustive-search cap of {MAX_EXHAUSTIVE_THREADS}"
-        )
 
     # Every L-thread group as (members, bitmask, sum), filed by its lowest
     # thread.  combinations() yields groups in ascending lexicographic order,

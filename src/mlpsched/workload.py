@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import ConfigError, SystemConfig, _shown
+from .core import ConfigError, SystemConfig, _shown, _slots
 
 __all__ = [
     "IDLE_PHASE_DURATION",
@@ -66,9 +66,9 @@ class ThreadWorkload:
 
     def __post_init__(self) -> None:
         if self.thread < 0:
-            raise ValueError(f"thread id must be >= 0, got {self.thread}")
+            raise ValueError(f"thread id must be >= 0, got {_shown(self.thread)}")
         if not self.phases:
-            raise ValueError(f"thread {self.thread}: phase list must be non-empty")
+            raise ValueError(f"thread {_shown(self.thread)}: phase list must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,11 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         if self.phases_per_thread < 1:
-            raise ValueError(f"phases_per_thread must be >= 1, got {self.phases_per_thread}")
-        lo, hi = self.duration_range
-        if lo < 1 or hi < lo:
-            raise ValueError(f"duration_range must satisfy 1 <= min <= max, got {self.duration_range}")
-        lo, hi = self.demand_range
-        if lo < 0 or hi < lo:
-            raise ValueError(f"demand_range must satisfy 0 <= min <= max, got {self.demand_range}")
+            raise ValueError(f"phases_per_thread must be >= 1, got {_shown(self.phases_per_thread)}")
+        for name, least in (("duration_range", 1), ("demand_range", 0)):
+            lo, hi = value = getattr(self, name)
+            if lo < least or hi < lo:
+                raise ValueError(f"{name} must satisfy {least} <= min <= max, got {_shown(value)}")
 
 
 def generate_synthetic(spec: WorkloadSpec, n_threads: int, seed: int) -> tuple[ThreadWorkload, ...]:
@@ -102,7 +100,7 @@ def generate_synthetic(spec: WorkloadSpec, n_threads: int, seed: int) -> tuple[T
     Mersenne Twister) from ``spec``'s inclusive ranges.
     """
     if n_threads < 1:
-        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
+        raise ValueError(f"n_threads must be >= 1, got {_shown(n_threads)}")
     rng = random.Random(seed)
     out = []
     for t in range(n_threads):
@@ -129,21 +127,20 @@ def pad_workloads(
     n = config.num_threads
     if len(workloads) > n:
         raise ConfigError(
-            f"scenario supplies {len(workloads)} threads but the machine has "
-            f"{config.num_processors}*{config.slots_per_processor} = {n} slots"
+            f"scenario supplies {len(workloads)} threads but the machine has {_slots(config)} slots"
         )
     mshrs = config.mshrs_per_processor
     for index, w in enumerate(workloads):
         if w.thread != index:
             raise ConfigError(
                 f"workload thread ids must be 0..{len(workloads) - 1} in order; "
-                f"position {index} holds thread {w.thread}"
+                f"position {index} holds thread {_shown(w.thread)}"
             )
         for i, ph in enumerate(w.phases):
             if ph.demand > mshrs:
                 raise ConfigError(
-                    f"thread {w.thread} phase {i}: demand {ph.demand} exceeds the "
-                    f"{mshrs}-entry MSHR pool"
+                    f"thread {w.thread} phase {i}: demand {_shown(ph.demand)} exceeds the "
+                    f"{_shown(mshrs)}-entry MSHR pool"
                 )
     idle = tuple(
         ThreadWorkload(thread=t, phases=(Phase(IDLE_PHASE_DURATION, 0),), repeat=True)

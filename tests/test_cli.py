@@ -157,6 +157,87 @@ def test_deeply_nested_field_value_is_shown_cut_short(tmp_path, capsys):
     assert err.count("\n") == 1 and len(err) < 120
 
 
+BIG = 10**4000 - 1  # 4,000 digits
+
+
+def with_system(**fields):
+    doc = small_doc()
+    doc["system"].update(fields)
+    return doc
+
+
+def synthetic(**fields):
+    return small_doc(workload={"synthetic": {"n_threads": 4, **fields}})
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("simulate", with_system(num_processors=-BIG), "num_processors must be"),
+        ("simulate", with_system(migration_penalty=-BIG), "migration_penalty must be"),
+        ("simulate", small_doc(seed=BIG), "config field 'seed': "),
+        ("simulate", small_doc(quanta=-BIG), "config field 'quanta': "),
+        ("simulate", small_doc(warmup_quanta=BIG), "config field 'warmup_quanta': "),
+        ("simulate", small_doc(workload={"demands": [1, BIG]}), "'workload': thread 1 phase 0"),
+        (
+            "simulate",
+            small_doc(workload={"threads": [{"phases": [[10, BIG]]}]}),
+            "'workload': thread 0 phase 0",
+        ),
+        ("simulate", synthetic(n_threads=BIG), "config field 'workload.synthetic.n_threads': "),
+        ("simulate", synthetic(phases_per_thread=-BIG), "'workload.synthetic': phases_per_thread"),
+        ("simulate", synthetic(duration_range=[-BIG, 1]), "'workload.synthetic': duration_range"),
+        ("sweep", small_doc(sweep={"seed": [BIG]}), "sweep point (seed=999"),
+    ],
+    ids=[
+        "num_processors",
+        "migration_penalty",
+        "seed",
+        "quanta",
+        "warmup_quanta",
+        "demands",
+        "threads",
+        "n_threads",
+        "phases_per_thread",
+        "duration_range",
+        "sweep_value",
+    ],
+)
+def test_huge_config_value_is_shown_cut_short(tmp_path, capsys, command, doc, field):
+    # each field holds a 4,000-digit integer that fails a load-time check;
+    # the one error line names the field and cuts the value short
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:300]
+    assert field in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="the interpreter has no digit limit"
+)
+def test_config_integer_past_digit_limit_exits_one_naming_path(tmp_path, capsys):
+    # json.load cannot convert an integer longer than the interpreter's limit
+    # (4,300 digits by default); the error names the config file
+    cfg = tmp_path / "exp.json"
+    digits = "9" * (sys.get_int_max_str_digits() + 700)
+    text = json.dumps(small_doc()).replace('"seed": 0', '"seed": ' + digits)
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg}: cannot be parsed (")
+    assert err.count("\n") == 1
+
+
+def test_config_not_utf8_exits_one_naming_path(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_bytes(b'{"seed": "\xff"}')
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg}: cannot be parsed (")
+    assert err.count("\n") == 1
+
+
 def test_long_bad_trace_value_is_shown_cut_short(tmp_path, capsys):
     # a 5,000-character duration on line 3: the error names the line and the
     # field and shows the value cut to a bounded length
@@ -231,6 +312,13 @@ def test_seed_flag_validation(capsys):
     else:
         raise AssertionError("negative seed should be rejected")
     assert "seed" in capsys.readouterr().err
+
+
+def test_seed_flag_refuses_non_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", "x", "--out", "y", "--seed", "abc"])
+    assert exc.value.code == 2  # argparse rejects before the handler runs
+    assert "seed must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

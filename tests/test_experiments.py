@@ -232,6 +232,50 @@ def test_load_rejects_bad_sweep_key(tmp_path):
         load_experiment(write_config(tmp_path, base_doc(sweep={"policy": [1]})))
 
 
+@pytest.mark.parametrize(
+    "overrides, expected",
+    [
+        ({"system": 5}, r"'system': expected an object"),
+        ({"workload": {"trace": 5}}, r"'workload.trace': expected a path string, got 5"),
+        ({"workload": {"synthetic": {}}}, r"'workload.synthetic.n_threads': required"),
+        (
+            {"workload": {"synthetic": {"n_threads": 2, "duration_range": 5}}},
+            r"'workload.synthetic.duration_range': expected \[min, max\], got 5",
+        ),
+        (
+            {"workload": {"synthetic": {"n_threads": 2, "phases_per_thread": 0}}},
+            r"'workload.synthetic': phases_per_thread must be >= 1, got 0",
+        ),
+        ({"workload": {"threads": {}}}, r"'workload.threads': expected a list of thread objects"),
+        ({"workload": {"threads": [{}]}}, r"'workload.threads\[0\].phases': required"),
+        (
+            {"workload": {"threads": [{"phases": []}]}},
+            r"'workload.threads\[0\].phases': expected a non-empty list of \[duration, demand\] pairs",
+        ),
+        (
+            {"workload": {"threads": [{"phases": [[10, 1], [0, 1]]}]}},
+            r"'workload.threads\[0\].phases\[1\]': phase duration must be an integer >= 1, got 0",
+        ),
+        (
+            {"workload": {"threads": [{"phases": [[10, 1]], "repeat": "yes"}]}},
+            r"'workload.threads\[0\].repeat': expected true or false, got 'yes'",
+        ),
+        ({"workload": {"demands": 5}}, r"'workload.demands': expected a list of integers"),
+        (
+            {"workload": {"demands": [1, -1]}},
+            r"'workload.demands\[1\]': phase demand must be an integer >= 0, got -1",
+        ),
+        ({"policies": "serpentine"}, r"'policies': expected a list of policy names"),
+        ({"policies": []}, r"'policies': must list at least one policy"),
+        ({"quanta": 0}, r"'quanta': must be >= 1, got 0"),
+        ({"sweep": {"seed": []}}, r"'sweep.seed': expected a non-empty list of integers"),
+    ],
+)
+def test_load_refuses_bad_field_naming_it(tmp_path, overrides, expected):
+    with pytest.raises(ConfigError, match=rf"^config field {expected}$"):
+        load_experiment(write_config(tmp_path, base_doc(**overrides)))
+
+
 # running and measuring
 
 

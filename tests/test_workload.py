@@ -41,6 +41,11 @@ def test_thread_workload_requires_phases():
         ThreadWorkload(thread=0, phases=())
 
 
+def test_thread_workload_rejects_negative_id():
+    with pytest.raises(ValueError, match=r"^thread id must be >= 0, got -1$"):
+        ThreadWorkload(thread=-1, phases=(Phase(10, 1),))
+
+
 def test_workload_spec_validation():
     WorkloadSpec(phases_per_thread=2, duration_range=(1, 5), demand_range=(0, 0))
     with pytest.raises(ValueError, match="duration_range"):
