@@ -20,12 +20,11 @@ exit 1 with a message naming the offending field.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import Sequence
 
-from .core import _shown
+from .core import _cut, _shown, replace
 from .experiments import (
     _MAX_SEED,
     ExperimentConfig,
@@ -49,9 +48,11 @@ def _seed_value(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {_shown(text)}") from None
+        if not text.isdecimal():
+            raise argparse.ArgumentTypeError(f"seed must be an integer, got {_shown(text)}") from None
+        value = _MAX_SEED  # all digits, but past the interpreter's integer digit limit
     if not 0 <= value < _MAX_SEED:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {_shown(value)}")
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {_cut(text)}")
     return value
 
 
@@ -68,7 +69,7 @@ def _add_common(sub: argparse.ArgumentParser, with_out: bool) -> None:
 def _load(args: argparse.Namespace) -> ExperimentConfig:
     config = load_experiment(args.config)
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        config = replace(config, seed=args.seed)
     return config
 
 

@@ -7,7 +7,6 @@ function, so they are safe to use from any number of concurrent callers.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
@@ -17,7 +16,10 @@ __all__ = [
     "Schedule",
     "ScheduleQuality",
     "SystemConfig",
+    "Value",
+    "asdict",
     "processor_load",
+    "replace",
     "validate_schedule",
 ]
 
@@ -41,7 +43,11 @@ def _shown(value) -> str:
     lengths, so a huge or deeply nested value is never rendered in full
     before it is cut.
     """
-    text = reprlib.repr(value)
+    return _cut(reprlib.repr(value))
+
+
+def _cut(text: str) -> str:
+    """``text`` cut to at most _SHOWN_CHARS, its end replaced by ``...`` when cut."""
     return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
 
 
@@ -49,6 +55,82 @@ def _slots(config: SystemConfig) -> str:
     """A machine's thread slots for an error message, ``K*L = N``, each value shown."""
     k, l = config.num_processors, config.slots_per_processor
     return f"{_shown(k)}*{_shown(l)} = {_shown(k * l)}"
+
+
+_set_field = object.__setattr__
+
+
+class Value:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields as annotated class attributes, in order, each
+    with an optional default, as a frozen dataclass does.  Instances are built
+    by position or keyword and run the subclass's ``_check`` hook, if any;
+    they refuse assignment, compare and hash by field values (equal only to
+    an instance of the same class), and print as a dataclass does.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            if args or tuple(kwargs) != fields:  # else every field by keyword, in order
+                kwargs = self._bind(args, kwargs)
+            args = kwargs.values()
+        for name, value in zip(fields, args):
+            # attribute by attribute, as a dataclass does, so that reads stay fast
+            _set_field(self, name, value)
+        self._check()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> dict:
+        """Every field's value by name, in field order, from the arguments and defaults."""
+        fields = cls._fields
+        named = {**dict(zip(fields, args)), **kwargs}
+        values = {**cls._defaults, **named}
+        if len(named) != len(args) + len(kwargs) or values.keys() != set(fields):
+            raise TypeError(
+                f"{cls.__name__}() takes each of its fields ({', '.join(fields)}) "
+                "once, by position or keyword, or from its default"
+            )
+        return {f: values[f] for f in fields}
+
+    def _check(self) -> None:
+        """Refuse an invalid value; run on every construction, ``replace`` included."""
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(asdict(self).values()) == tuple(asdict(other).values())
+
+    def __hash__(self) -> int:
+        return hash(tuple(asdict(self).values()))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={v!r}" for k, v in asdict(self).items())
+        return f"{type(self).__qualname__}({shown})"
+
+
+
+def replace(value: Value, **changes) -> Value:
+    """A copy of ``value`` with ``changes`` applied, built and checked anew."""
+    return type(value)(**{**asdict(value), **changes})
+
+
+def asdict(value: Value) -> dict:
+    """``value``'s fields by name, in field order; nested values are kept as they are."""
+    return {name: getattr(value, name) for name in value._fields}
 
 
 class InvalidScheduleError(ValueError):
@@ -65,8 +147,7 @@ _POSITIVE_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Value):
     """Machine shape and timing parameters.
 
     The defaults describe a desk-scale machine: 4 processors exposing 4
@@ -84,7 +165,7 @@ class SystemConfig:
     window_cycles: int = 10_000
     migration_penalty: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -104,8 +185,7 @@ class SystemConfig:
         return self.num_processors * self.slots_per_processor
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Value):
     """Placement of threads onto (processor, slot) positions.
 
     ``placement[t]`` is the (processor, slot) pair of thread ``t``.  A valid
@@ -148,8 +228,7 @@ def validate_schedule(schedule: Schedule, config: SystemConfig) -> None:
         seen[p, s] = t
 
 
-@dataclass(frozen=True)
-class ScheduleQuality:
+class ScheduleQuality(Value):
     """Per-processor MLP load of a schedule plus balance metrics.
 
     ``gap`` is ``max_sum - min_sum``; ``per_processor_oversubscription[p]``

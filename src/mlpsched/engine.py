@@ -101,7 +101,6 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
 from itertools import cycle as cycled
 from typing import Sequence
@@ -111,6 +110,7 @@ from .core import (
     Schedule,
     ScheduleQuality,
     SystemConfig,
+    Value,
     processor_load,
 )
 from .policies import Policy, next_schedule, quantum_seed
@@ -131,8 +131,7 @@ def initial_schedule(config: SystemConfig) -> Schedule:
     return Schedule(tuple((i % k, i // k) for i in range(config.num_threads)))
 
 
-@dataclass(frozen=True)
-class QuantumRecord:
+class QuantumRecord(Value):
     """One quantum of history.
 
     ``schedule`` is the placement that was active during the quantum;
@@ -150,8 +149,7 @@ class QuantumRecord:
     stalls: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SimulationTotals:
+class SimulationTotals(Value):
     completed_per_thread: tuple[int, ...]
     completed: int
     stall_cycles_per_thread: tuple[int, ...]
@@ -162,8 +160,7 @@ class SimulationTotals:
     throughput: float
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(Value):
     config: SystemConfig
     policy: Policy
     seed: int

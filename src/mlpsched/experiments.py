@@ -20,17 +20,25 @@ quantum.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import itertools
 import json
 import operator
 import os.path
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from .core import ConfigError, SystemConfig, _shown, _slots, processor_load
+from .core import (
+    ConfigError,
+    SystemConfig,
+    Value,
+    _cut,
+    _shown,
+    _slots,
+    asdict,
+    processor_load,
+    replace,
+)
 from .engine import SimulationReport, run_simulation
 from .policies import (
     Policy,
@@ -76,7 +84,7 @@ COMPARE_FIELDS = (
     "mean_oversubscription",
     "speedup",
 )
-_SYSTEM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemConfig))
+_SYSTEM_FIELDS = SystemConfig._fields
 SWEEPABLE_FIELDS = _SYSTEM_FIELDS + ("seed", "quanta")
 
 _MAX_SEED = 1 << 64
@@ -95,12 +103,11 @@ def _naming(field: str):
         raise _fail(field, str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Value):
     """One experiment: machine, workloads (unpadded), policies, run lengths.
 
     The workloads are checked against the machine here, so every loaded
-    config, ``--seed`` override and sweep point (each a ``dataclasses.replace``
+    config, ``--seed`` override and sweep point (each a ``core.replace``
     of the config) is checked; they are padded to K*L threads at run time.
     """
 
@@ -112,7 +119,7 @@ class ExperimentConfig:
     seed: int = 0
     sweep: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.policies:
             raise _fail("policies", "must list at least one policy")
         if self.quanta < 1:
@@ -145,7 +152,7 @@ def _section(
     prefix = f"{field}." if field else ""
     for key in value:
         if key not in known:
-            raise _fail(prefix + key, unknown)
+            raise _fail(prefix + _cut(key), unknown)
     for key in required:
         if key not in value:
             raise _fail(prefix + key, "required")
@@ -184,7 +191,8 @@ _SPEC_PARSERS = {
 def _parse_system(section) -> SystemConfig:
     section = _section(section, "system", _SYSTEM_FIELDS)
     fields = {k: _as_int(v, f"system.{k}") for k, v in section.items()}
-    return SystemConfig(**fields)
+    with _naming("system"):
+        return SystemConfig(**fields)
 
 
 def _parse_phases(raw, field: str) -> tuple[Phase, ...]:
@@ -318,8 +326,7 @@ def load_experiment(path: str) -> ExperimentConfig:
     )
 
 
-@dataclass(frozen=True)
-class PolicyMetrics:
+class PolicyMetrics(Value):
     """Steady-state metrics for one run, taken over the post-warmup quanta.
 
     ``mean_gap`` and ``mean_oversubscription`` average the quality of each
@@ -423,7 +430,7 @@ def write_summary(
     policies = {}
     for report in reports:
         m = measure(report, config.warmup_quanta)
-        totals = dataclasses.asdict(report.totals)
+        totals = asdict(report.totals)
         policies[report.policy.value] = {
             "totals": totals,
             "measured": {
@@ -436,7 +443,7 @@ def write_summary(
             },
         }
     doc = {
-        "system": dataclasses.asdict(config.system),
+        "system": asdict(config.system),
         "policies": [p.value for p in config.policies],
         "quanta": config.quanta,
         "warmup_quanta": config.warmup_quanta,
@@ -473,9 +480,9 @@ def run_sweep(config: ExperimentConfig) -> tuple[tuple[str, ...], list[tuple]]:
         label = ", ".join(f"{k}={_shown(v)}" for k, v in point.items())
         system_fields = {k: v for k, v in point.items() if k in _SYSTEM_FIELDS}
         try:
-            point_config = dataclasses.replace(
+            point_config = replace(
                 config,
-                system=dataclasses.replace(config.system, **system_fields),
+                system=replace(config.system, **system_fields),
                 quanta=point.get("quanta", config.quanta),
                 seed=point.get("seed", config.seed),
             )
@@ -502,8 +509,7 @@ def write_sweep_csv(header: Sequence[str], rows: Sequence[tuple], path: str) -> 
         writer.writerows(rows)
 
 
-@dataclass(frozen=True)
-class OracleCheck:
+class OracleCheck(Value):
     """Per-quantum serpentine vs exhaustive-optimal max-sum comparison."""
 
     rows: tuple[tuple[int, float, float, float], ...]  # (quantum, serpentine, optimal, ratio)

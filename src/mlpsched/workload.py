@@ -9,10 +9,9 @@ and loaded from a line-delimited trace file (see ``docs/formats.md``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import ConfigError, SystemConfig, _shown, _slots
+from .core import ConfigError, SystemConfig, Value, _shown, _slots
 
 __all__ = [
     "IDLE_PHASE_DURATION",
@@ -37,14 +36,13 @@ class TraceError(ValueError):
     """A trace file is malformed; the message names the offending line."""
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(Value):
     """``duration`` cycles during which the thread keeps ``demand`` requests in flight."""
 
     duration: int
     demand: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # bool is an int subclass, but True is neither a duration nor a demand
         duration, demand = self.duration, self.demand
         if isinstance(duration, bool) or not isinstance(duration, int) or duration < 1:
@@ -53,8 +51,7 @@ class Phase:
             raise ValueError(f"phase demand must be an integer >= 0, got {_shown(demand)}")
 
 
-@dataclass(frozen=True)
-class ThreadWorkload:
+class ThreadWorkload(Value):
     """A thread's phase list; with ``repeat`` the list cycles until the run ends.
 
     Without ``repeat`` the thread goes idle (demand 0) after its last phase.
@@ -64,15 +61,14 @@ class ThreadWorkload:
     phases: tuple[Phase, ...]
     repeat: bool = True
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.thread < 0:
             raise ValueError(f"thread id must be >= 0, got {_shown(self.thread)}")
         if not self.phases:
             raise ValueError(f"thread {_shown(self.thread)}: phase list must be non-empty")
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Value):
     """Per-thread template for synthetic generation.
 
     Every thread gets ``phases_per_thread`` phases with durations and demands
@@ -84,7 +80,7 @@ class WorkloadSpec:
     demand_range: tuple[int, int] = (0, 8)
     repeat: bool = True
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.phases_per_thread < 1:
             raise ValueError(f"phases_per_thread must be >= 1, got {_shown(self.phases_per_thread)}")
         for name, least in (("duration_range", 1), ("demand_range", 0)):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -261,6 +262,28 @@ def test_bad_config_field_exits_one_naming_field(tmp_path, capsys):
     assert "num_processors" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fields, problem",
+    [
+        ({"num_processors": 0}, "num_processors must be a positive integer, got 0"),
+        ({"window_cycles": 500}, "window_cycles (500) must not exceed quantum_cycles (400)"),
+    ],
+    ids=["num_processors", "window_past_quantum"],
+)
+def test_bad_system_value_names_the_system_field(tmp_path, capsys, fields, problem):
+    cfg = write_config(tmp_path, with_system(**fields))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: config field 'system': {problem}\n"
+
+
+def test_long_unknown_key_is_shown_cut_short(tmp_path, capsys):
+    cfg = write_config(tmp_path, with_system(**{"k" * 5000: 1}))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'system.kkk") and err.endswith("...': unknown field\n")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 def test_sweep_writes_product_rows(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -319,6 +342,30 @@ def test_seed_flag_refuses_non_integer(capsys):
         main(["simulate", "--config", "x", "--out", "y", "--seed", "abc"])
     assert exc.value.code == 2  # argparse rejects before the handler runs
     assert "seed must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_seed_flag_past_digit_limit_is_out_of_range(capsys):
+    # int() refuses this many digits, but the text is still a non-negative integer
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", "x", "--out", "y", "--seed", "9" * 5000])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "seed must be in [0, 2^64), got 999" in err
+    assert max(len(line) for line in err.splitlines()) < 200
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # dataclasses pulls in inspect, ast and dis, which cost the CLI's start-up
+    probe = "import sys, mlpsched.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "dataclasses", "inspect", "ast", "dis"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point(tmp_path):

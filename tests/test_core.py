@@ -1,5 +1,7 @@
 """Value types: machine config, schedules, balance metrics."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -9,9 +11,16 @@ from mlpsched.core import (
     InvalidScheduleError,
     Schedule,
     SystemConfig,
+    Value,
+    asdict,
     processor_load,
+    replace,
     validate_schedule,
 )
+from mlpsched.engine import run_simulation
+from mlpsched.experiments import ExperimentConfig
+from mlpsched.policies import Policy
+from mlpsched.workload import Phase, ThreadWorkload
 
 
 def test_default_config():
@@ -127,3 +136,64 @@ def test_processor_load_gap_matches_brute_force():
         sums = [sum(mlp[t] for t in range(k * l) if positions[t][0] == p) for p in range(k)]
         assert quality.per_processor_mlp_sum == tuple(sums)
         assert quality.gap == max(sums) - min(sums)
+
+
+def small_experiment():
+    workloads = (ThreadWorkload(0, (Phase(10, 3), Phase(5, 0))),)
+    return ExperimentConfig(SystemConfig(2, 1), workloads, (Policy.SERPENTINE,), quanta=2)
+
+
+# Each maker returns a new instance equal to the last one it returned.
+VALUE_MAKERS = {
+    "SystemConfig": lambda: SystemConfig(num_processors=2, slots_per_processor=3),
+    "Schedule": lambda: Schedule(((0, 0), (1, 0))),
+    "Phase": lambda: Phase(10, demand=3),
+    "ExperimentConfig": small_experiment,
+    "QuantumRecord": lambda: run_simulation(
+        SystemConfig(2, 1, quantum_cycles=50, window_cycles=10),
+        small_experiment().workloads,
+        Policy.SERPENTINE,
+    ).per_quantum[0],
+}
+
+
+@pytest.mark.parametrize("make", VALUE_MAKERS.values(), ids=VALUE_MAKERS)
+def test_value_types_are_frozen_values(make):
+    value = make()
+    again = make()
+    assert value is not again and value == again and hash(value) == hash(again)
+    # a class with the same fields and field values is still unequal
+    fields = asdict(value)
+    twin = type("Twin", (Value,), {"__annotations__": dict.fromkeys(fields, "object")})(**fields)
+    assert asdict(twin) == fields and twin != value and value != twin
+    name = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert value == again
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_replace_runs_the_checks_again():
+    assert replace(SystemConfig(), window_cycles=5_000).window_cycles == 5_000
+    with pytest.raises(ConfigError, match="window_cycles"):
+        replace(SystemConfig(), window_cycles=200_000)
+
+
+def test_value_repr_names_every_field_in_order():
+    assert repr(SystemConfig()) == (
+        "SystemConfig(num_processors=4, slots_per_processor=4, mshrs_per_processor=16, "
+        "memory_latency=200, quantum_cycles=100000, window_cycles=10000, migration_penalty=0)"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((), {}), ((1,), {}), ((1, 2, 3), {}), ((1,), {"duration": 2}), ((1, 2), {"size": 4})],
+    ids=["missing", "one_missing", "too_many", "repeated", "unknown"],
+)
+def test_value_construction_refuses_bad_arguments(args, kwargs):
+    with pytest.raises(TypeError, match=r"Phase\(\) takes each of its fields \(duration, demand\)"):
+        Phase(*args, **kwargs)

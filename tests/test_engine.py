@@ -5,13 +5,12 @@ Tests that step single cycles drive the cycle-by-cycle oracle in
 for report, and through one-cycle quanta where a table is per cycle.
 """
 
-import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlpsched.core import ConfigError, Schedule, SystemConfig
+from mlpsched.core import ConfigError, Schedule, SystemConfig, replace
 from mlpsched.engine import initial_schedule, run_simulation
 from mlpsched.policies import Policy, serpentine_schedule
 from mlpsched.workload import (
@@ -88,7 +87,7 @@ def test_two_heavy_threads_split_the_pool_evenly():
         step_cycle(state, cfg)
         assert abs(state.outstanding[0] - state.outstanding[1]) <= 1
     # one-cycle quanta and windows sample the end-of-cycle outstanding counts
-    per_cycle = dataclasses.replace(cfg, quantum_cycles=1, window_cycles=1)
+    per_cycle = replace(cfg, quantum_cycles=1, window_cycles=1)
     rep = run_simulation(per_cycle, workloads, "static", 0, 2000)
     assert all(abs(a - b) <= 1 for a, b in (r.sampled_mlp for r in rep.per_quantum))
 
@@ -119,7 +118,7 @@ def test_rotating_arbitration_hand_table():
         assert tuple(state.stalls_quantum) == stalls
     # the same table through run_simulation, one cycle per quantum: each
     # record samples that cycle's outstanding counts and its own stalls
-    per_cycle = dataclasses.replace(cfg, quantum_cycles=1, window_cycles=1)
+    per_cycle = replace(cfg, quantum_cycles=1, window_cycles=1)
     rep = run_simulation(per_cycle, workloads, "static", 0, len(expect))
     previous = (0, 0)
     for record, (outstanding, stalls) in zip(rep.per_quantum, expect):
@@ -149,7 +148,7 @@ def test_requests_reside_exactly_latency_cycles():
         else:
             assert state.outstanding == [0]
     assert state.completed_quantum == [3]
-    per_cycle = dataclasses.replace(cfg, quantum_cycles=1, window_cycles=1)
+    per_cycle = replace(cfg, quantum_cycles=1, window_cycles=1)
     rep = run_simulation(per_cycle, workloads, "static", 0, 20)
     assert [r.sampled_mlp for r in rep.per_quantum] == [(3.0,)] * 7 + [(0.0,)] * 13
     assert [r.completed for r in rep.per_quantum] == [(0,)] * 7 + [(3,)] + [(0,)] * 12

@@ -3,12 +3,11 @@
 import csv
 import itertools
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from mlpsched.core import ConfigError, ScheduleQuality, SystemConfig, processor_load
+from mlpsched.core import ConfigError, ScheduleQuality, SystemConfig, processor_load, replace
 from mlpsched.engine import run_simulation
 import mlpsched.experiments as experiments
 from mlpsched.experiments import (
