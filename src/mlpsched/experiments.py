@@ -10,6 +10,12 @@ identical workloads and seeds, and emit schema-stable tables:
 * a policy comparison CSV with speedups against the first-listed policy;
 * a sweep CSV over a cartesian product of config values.
 
+Independent runs (the policies of a batch, every (point, policy) run of a
+sweep, the oracle decisions of an oracle check) go to up to one forked
+process per usable CPU when the first run shows enough work to pay for the
+forks (``_forked_map``).  The results are the same whatever the CPU count;
+without ``os.fork`` the runs are serial.
+
 Data files never embed timestamps, so identical inputs give identical bytes.
 Floats are written in shortest round-trip form (``str``).  Summary metrics
 can exclude the first ``warmup_quanta`` quanta so steady-state comparisons
@@ -23,10 +29,12 @@ import csv
 import itertools
 import json
 import operator
-import os.path
+import os
+import sys
 from contextlib import contextmanager
 from functools import reduce
-from typing import Sequence
+from time import perf_counter
+from typing import Callable, Sequence
 
 from .core import (
     ConfigError,
@@ -375,12 +383,59 @@ def measure(report: SimulationReport, warmup_quanta: int = 0) -> PolicyMetrics:
     )
 
 
+# Forking pays only when the work it moves off the parent is well above a
+# fork round trip: pipe, fork, pickle, read to EOF and waitpid took a median
+# 2.4-2.9 ms in-process on a 2-vCPU VM (BENCH_forked_map.json).  About ten
+# round trips; the tiny shipped configs stay below it.
+_FORK_WORTH_S = 0.025
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _can_fork() -> bool:
+    """``os.fork`` exists and this process runs one thread, so a child cannot
+    inherit a lock that another thread holds."""
+    threading = sys.modules.get("threading")
+    return hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
+
+
+def _forked_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]``, in order, spread over forked processes.
+
+    The parent runs ``items[0]`` and times it.  It forks only if at least
+    two CPUs are usable, ``_can_fork()`` holds, and that time, times the
+    items left, reaches ``_FORK_WORTH_S``; otherwise it runs the rest
+    itself.  The items left go round-robin to up to CPUs - 1 children
+    first and to the parent last, since it already ran one.  ``fn`` must be
+    deterministic in its item, so the results do not depend on which
+    process computes them, and its results must pickle.
+    """
+    if not items:
+        return []
+    start = perf_counter()
+    first = fn(items[0])
+    rest = items[1:]
+    workers = min(_usable_cpus(), len(items))
+    if workers < 2 or not _can_fork() or (perf_counter() - start) * len(rest) < _FORK_WORTH_S:
+        return [first, *map(fn, rest)]
+    from ._fork import map_in_children  # compiled and imported only by a run that forks
+
+    return [first, *map_in_children(fn, rest, workers)]
+
+
 def run_policies(config: ExperimentConfig) -> list[SimulationReport]:
     """Run every listed policy on identical workloads and seed."""
-    return [
-        run_simulation(config.system, config.workloads, policy, config.seed, config.quanta)
-        for policy in config.policies
-    ]
+    return _forked_map(
+        lambda policy: run_simulation(
+            config.system, config.workloads, policy, config.seed, config.quanta
+        ),
+        config.policies,
+    )
 
 
 def write_quanta_csv(report: SimulationReport, path: str) -> None:
@@ -469,7 +524,8 @@ def run_sweep(config: ExperimentConfig) -> tuple[tuple[str, ...], list[tuple]]:
     is checked exactly as a loaded config is, and runs as ``run_policies``
     runs a config.  Every point, its workloads against its machine
     included, is checked before any runs, and one that violates an
-    invariant aborts the sweep with the offending values named.
+    invariant aborts the sweep with the offending values named.  The runs
+    of all points form one ``_forked_map``, so a sweep forks at most once.
     """
     if not config.sweep:
         raise _fail("sweep", "required for a sweep run")
@@ -490,16 +546,18 @@ def run_sweep(config: ExperimentConfig) -> tuple[tuple[str, ...], list[tuple]]:
             raise ConfigError(f"sweep point ({label}): {exc}") from exc
         points.append((point, point_config))
 
-    rows: list[tuple] = []
-    for point, point_config in points:
-        for report in run_policies(point_config):
-            m = measure(report, config.warmup_quanta)
-            rows.append(
-                tuple(point[k] for k in keys)
-                + (report.policy.value, m.throughput, m.total_stalls)
-                + (m.mean_gap, m.mean_oversubscription)
-            )
-    return header, rows
+    def measured(run: tuple[dict, ExperimentConfig, Policy]) -> PolicyMetrics:
+        _, c, policy = run
+        report = run_simulation(c.system, c.workloads, policy, c.seed, c.quanta)
+        return measure(report, config.warmup_quanta)
+
+    runs = [(point, c, policy) for point, c in points for policy in c.policies]
+    metrics = _forked_map(measured, runs)
+    return header, [
+        tuple(point[k] for k in keys)
+        + (m.policy.value, m.throughput, m.total_stalls, m.mean_gap, m.mean_oversubscription)
+        for (point, _, _), m in zip(runs, metrics)
+    ]
 
 
 def write_sweep_csv(header: Sequence[str], rows: Sequence[tuple], path: str) -> None:
@@ -528,14 +586,16 @@ def run_oracle_check(config: ExperimentConfig) -> OracleCheck:
         config.system, config.workloads, Policy.SERPENTINE, config.seed, config.quanta
     )
     system = config.system
+    optima = _forked_map(
+        lambda mlp: processor_load(optimal_partition(mlp, system), mlp, system).max_sum,
+        [rec.sampled_mlp for rec in report.per_quantum],
+    )
     rows = []
     worst = 1.0
-    for rec in report.per_quantum:
+    for rec, opt in zip(report.per_quantum, optima):
         # The run's policy is serpentine, so rec.quality already scores
         # serpentine's decision on this quantum's counters.
-        mlp = rec.sampled_mlp
         serp = rec.quality.max_sum
-        opt = processor_load(optimal_partition(mlp, system), mlp, system).max_sum
         ratio = 1.0 if opt == 0.0 else serp / opt
         worst = max(worst, ratio)
         rows.append((rec.index, serp, opt, ratio))

@@ -354,18 +354,30 @@ def test_seed_flag_past_digit_limit_is_out_of_range(capsys):
     assert max(len(line) for line in err.splitlines()) < 200
 
 
-def test_cli_import_loads_no_introspection_modules():
-    # dataclasses pulls in inspect, ast and dis, which cost the CLI's start-up
+def modules_loaded_by_cli_import(*names):
+    """Which of ``names`` a fresh interpreter holds after ``import mlpsched.cli``."""
     probe = "import sys, mlpsched.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", probe, "dataclasses", "inspect", "ast", "dis"],
+        [sys.executable, "-c", probe, *names],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
         check=True,
     )
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # dataclasses pulls in inspect, ast and dis, which cost the CLI's start-up
+    assert modules_loaded_by_cli_import("dataclasses", "inspect", "ast", "dis") == "[]\n"
+
+
+def test_cli_import_loads_no_pickle_or_process_pool_modules():
+    # the forked map imports pickle only once it has decided to fork;
+    # multiprocessing.pool alone added about 39 ms and 2.2 MB to a run
+    names = ("pickle", "multiprocessing", "concurrent")
+    assert modules_loaded_by_cli_import(*names) == "[]\n"
 
 
 def test_module_entry_point(tmp_path):

@@ -3,10 +3,15 @@
 import csv
 import itertools
 import json
+import math
+import os
+import shutil
+import time
 from pathlib import Path
 
 import pytest
 
+from mlpsched.cli import main
 from mlpsched.core import ConfigError, ScheduleQuality, SystemConfig, processor_load, replace
 from mlpsched.engine import run_simulation
 import mlpsched.experiments as experiments
@@ -429,6 +434,20 @@ def test_sweep_requires_sweep_section(tmp_path):
         run_sweep(config)
 
 
+def refusing_runs(runs):
+    """A ``run_simulation`` stand-in that records its call and fails it.
+
+    A run in a forked child would append to the child's copy of ``runs``
+    only; the error reaches the parent from any process.
+    """
+
+    def run_simulation(*args):
+        runs.append(args)
+        raise AssertionError("a sweep point ran before every point was checked")
+
+    return run_simulation
+
+
 def test_sweep_rejects_optimal_point_before_any_point_runs(tmp_path, monkeypatch):
     # the 4x4 point is last in product order; nothing may simulate before
     # the sweep refuses it
@@ -437,7 +456,7 @@ def test_sweep_rejects_optimal_point_before_any_point_runs(tmp_path, monkeypatch
     doc["system"]["num_processors"] = 3
     config = load_experiment(write_config(tmp_path, doc))
     runs = []
-    monkeypatch.setattr(experiments, "run_simulation", lambda *args: runs.append(args))
+    monkeypatch.setattr(experiments, "run_simulation", refusing_runs(runs))
     with pytest.raises(ConfigError, match=r"sweep point \(num_processors=4\): .*'policies': optimal"):
         run_sweep(config)
     assert runs == []
@@ -454,7 +473,7 @@ def test_sweep_checks_every_point_as_a_config_before_any_runs(
     doc = base_doc(quanta=3, warmup_quanta=1, sweep={key: [3, bad]})
     config = load_experiment(write_config(tmp_path, doc))
     runs = []
-    monkeypatch.setattr(experiments, "run_simulation", lambda *args: runs.append(args))
+    monkeypatch.setattr(experiments, "run_simulation", refusing_runs(runs))
     expected = rf"sweep point \({key}={bad}\): config field '{field}'"
     with pytest.raises(ConfigError, match=expected):
         run_sweep(config)
@@ -524,3 +543,112 @@ def test_repo_configs_parse_and_pad():
         for combo in itertools.product(*(values for _, values in config.sweep)):
             point = {k: v for k, v in zip(keys, combo) if k not in ("seed", "quanta")}
             pad_workloads(config.workloads, replace(config.system, **point))
+
+
+# forked map
+
+
+def forking(monkeypatch, cpus=2):
+    """Make ``_forked_map`` fork whenever it has two or more items."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiments, "_FORK_WORTH_S", 0.0)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "sweep", "oracle-check"])
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_cli_outputs_are_the_same_bytes_serial_and_forked(
+    tmp_path, monkeypatch, capsys, command, name
+):
+    out = tmp_path / "out"
+    argv = [command, "--config", str(CONFIGS / name)]
+    if command != "oracle-check":
+        argv += ["--out", str(out)]
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    given, forks_made = [], []
+    for cpus, worth in ((1, experiments._FORK_WORTH_S), (2, 0.0)):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda n=cpus: n)
+        monkeypatch.setattr(experiments, "_FORK_WORTH_S", worth)
+        shutil.rmtree(out, ignore_errors=True)
+        forks.clear()
+        code = main(argv)
+        written = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+        given.append((code, capsys.readouterr(), written))
+        forks_made.append(len(forks))
+    assert given[0] == given[1]
+    # the serial run never forks; the other forks wherever a map has two items
+    several = command in ("sweep", "oracle-check") or len(load_experiment(argv[2]).policies) > 1
+    assert forks_made[0] == 0
+    assert forks_made[1] > 0 or given[1][0] != 0 or not several
+
+
+def test_forked_map_keeps_item_order_across_processes(monkeypatch):
+    forking(monkeypatch, cpus=3)
+    results = experiments._forked_map(lambda x: (x * x, os.getpid()), list(range(10)))
+    assert [square for square, _ in results] == [x * x for x in range(10)]
+    assert len({pid for _, pid in results}) == 3
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus, worth", [(1, 0.0), (2, math.inf)])
+def test_forked_map_stays_in_process_without_two_cpus_or_enough_work(
+    monkeypatch, cpus, worth
+):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiments, "_FORK_WORTH_S", worth)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    assert experiments._forked_map(lambda x: -x, [3, 1, 2]) == [-3, -1, -2]
+    assert experiments._forked_map(lambda x: -x, []) == []
+
+
+def test_child_exception_reaches_the_parent_with_its_type_and_message(monkeypatch):
+    forking(monkeypatch)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            raise ConfigError(f"item {x} failed in a child")
+        return x
+
+    # item 0 runs in the parent first; of the rest, item 1 goes to the child
+    with pytest.raises(ConfigError, match=r"^item 1 failed in a child$"):
+        experiments._forked_map(fn, [0, 1, 2])
+    assert_no_child_left()
+
+
+def test_child_that_exits_without_results_names_its_exit_status(monkeypatch):
+    forking(monkeypatch)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            os._exit(3)
+        return x
+
+    with pytest.raises(ChildProcessError, match="exit status 3"):
+        experiments._forked_map(fn, [0, 1, 2])
+    assert_no_child_left()
+
+
+def test_interrupt_in_the_parent_ends_and_reaps_a_busy_child(monkeypatch):
+    forking(monkeypatch)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif x == 2:
+            raise KeyboardInterrupt
+        return x
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        experiments._forked_map(fn, [0, 1, 2])
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()
