@@ -11,9 +11,10 @@ identical workloads and seeds, and emit schema-stable tables:
 * a sweep CSV over a cartesian product of config values.
 
 Independent runs (the policies of a batch, every (point, policy) run of a
-sweep, the oracle decisions of an oracle check) go to up to one forked
-process per usable CPU when the first run shows enough work to pay for the
-forks (``_forked_map``).  The results are the same whatever the CPU count;
+sweep, the oracle decisions of an oracle check) go to forked processes, in
+shares of at most max(1, runs // CPUs) runs each, once the first run has
+gone on long enough to pay for the forks; the forks happen while it still
+runs (``_forked_map``).  The results are the same whatever the CPU count;
 without ``os.fork`` the runs are serial.
 
 Data files never embed timestamps, so identical inputs give identical bytes.
@@ -28,12 +29,12 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import operator
 import os
 import sys
 from contextlib import contextmanager
 from functools import reduce
-from time import perf_counter
 from typing import Callable, Sequence
 
 from .core import (
@@ -386,7 +387,10 @@ def measure(report: SimulationReport, warmup_quanta: int = 0) -> PolicyMetrics:
 # Forking pays only when the work it moves off the parent is well above a
 # fork round trip: pipe, fork, pickle, read to EOF and waitpid took a median
 # 2.4-2.9 ms in-process on a 2-vCPU VM (BENCH_forked_map.json).  About ten
-# round trips; the tiny shipped configs stay below it.
+# round trips; the tiny shipped configs stay below it.  It is applied as a
+# timer deadline: a map of n items forks once its first item has run for
+# _FORK_WORTH_S / (n - 1), when the n - 1 items left, if they cost as much,
+# are known to hold at least _FORK_WORTH_S of work.
 _FORK_WORTH_S = 0.025
 
 
@@ -398,8 +402,9 @@ def _usable_cpus() -> int:
 
 
 def _can_fork() -> bool:
-    """``os.fork`` exists and this process runs one thread, so a child cannot
-    inherit a lock that another thread holds."""
+    """``os.fork`` exists and this process runs one thread: a child cannot
+    inherit a lock that another thread holds, and the map runs on the main
+    thread, the one that may set the timer's signal handler."""
     threading = sys.modules.get("threading")
     return hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
 
@@ -407,25 +412,64 @@ def _can_fork() -> bool:
 def _forked_map(fn: Callable, items: Sequence) -> list:
     """``[fn(x) for x in items]``, in order, spread over forked processes.
 
-    The parent runs ``items[0]`` and times it.  It forks only if at least
-    two CPUs are usable, ``_can_fork()`` holds, and that time, times the
-    items left, reaches ``_FORK_WORTH_S``; otherwise it runs the rest
-    itself.  The items left go round-robin to up to CPUs - 1 children
-    first and to the parent last, since it already ran one.  ``fn`` must be
-    deterministic in its item, so the results do not depend on which
-    process computes them, and its results must pickle.
-    """
-    if not items:
-        return []
-    start = perf_counter()
-    first = fn(items[0])
-    rest = items[1:]
-    workers = min(_usable_cpus(), len(items))
-    if workers < 2 or not _can_fork() or (perf_counter() - start) * len(rest) < _FORK_WORTH_S:
-        return [first, *map(fn, rest)]
-    from ._fork import map_in_children  # compiled and imported only by a run that forks
+    With n >= 2 items, at least two usable CPUs and ``_can_fork()``, the
+    parent flushes its output, arms a one-shot ``ITIMER_REAL`` and starts
+    ``items[0]``.  If that item is still running ``_FORK_WORTH_S / (n - 1)``
+    seconds later, the timer's ``SIGALRM`` handler forks the children
+    (``_fork.Children``); otherwise the parent runs the rest itself.  The
+    items go in strided shares ``items[c::w]``, one per process, with no
+    more than max(1, n // CPUs) items each; the parent keeps share 0.  A
+    process that cannot own the timer, because SIGALRM has a handler other
+    than the default or an ``ITIMER_REAL`` is armed, runs every item itself.
 
-    return [first, *map_in_children(fn, rest, workers)]
+    ``fn`` must be deterministic in its item, so the results do not depend
+    on which process computes them; re-entrant, since a child runs its
+    share from inside the parent's ``fn(items[0])``; and its results must
+    pickle.  On any error or interrupt, item 0's included, the children are
+    killed, every pipe closed and every child reaped before this raises.
+    """
+    cpus = _usable_cpus()
+    if len(items) < 2 or cpus < 2 or _FORK_WORTH_S == math.inf or not _can_fork():
+        return list(map(fn, items))
+    import signal  # imported only by a map that may fork
+
+    if signal.getsignal(signal.SIGALRM) is not signal.SIG_DFL or any(
+        signal.getitimer(signal.ITIMER_REAL)
+    ):
+        return list(map(fn, items))
+    children = None
+    startable = True
+
+    def start(*_) -> None:
+        nonlocal children, startable
+        if startable:
+            startable = False
+            from ._fork import Children  # compiled and imported only by a map that forks
+
+            children = Children(fn, items, cpus)
+            children.start()
+
+    sys.stdout.flush()  # else a child could inherit, and a parent lose, buffered output
+    sys.stderr.flush()
+    previous = signal.signal(signal.SIGALRM, start)
+    try:
+        try:
+            if _FORK_WORTH_S > 0:
+                signal.setitimer(signal.ITIMER_REAL, _FORK_WORTH_S / (len(items) - 1))
+            else:
+                start()
+            first = fn(items[0])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            startable = False  # a SIGALRM already delivered starts nothing now
+            signal.signal(signal.SIGALRM, previous)
+    except BaseException:
+        if children is not None:
+            children.abort()
+        raise
+    if children is None:
+        return [first, *map(fn, items[1:])]
+    return children.collect(first)
 
 
 def run_policies(config: ExperimentConfig) -> list[SimulationReport]:

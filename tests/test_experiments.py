@@ -1,12 +1,16 @@
 """Experiment configs, metrics, tables, oracle checks."""
 
+import collections
 import csv
 import itertools
 import json
 import math
 import os
 import shutil
+import signal
+import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -548,15 +552,39 @@ def test_repo_configs_parse_and_pad():
 # forked map
 
 
-def forking(monkeypatch, cpus=2):
-    """Make ``_forked_map`` fork whenever it has two or more items."""
+def forking(monkeypatch, cpus=2, worth=0.0):
+    """Make ``_forked_map`` see ``cpus`` CPUs and fork once item 0 has run
+    ``worth / (n - 1)`` seconds; by default before item 0 starts."""
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(experiments, "_FORK_WORTH_S", 0.0)
+    monkeypatch.setattr(experiments, "_FORK_WORTH_S", worth)
 
 
-def assert_no_child_left():
+FDS = Path("/proc/self/fd")
+
+
+@contextmanager
+def leaves_nothing_behind():
+    """The block leaves no child unreaped, no descriptor open (checked where
+    ``/proc/self/fd`` lists them), and SIGALRM's handler and ITIMER_REAL as
+    it found them."""
+    fds = sorted(os.listdir(FDS)) if FDS.is_dir() else None
+    handler = signal.getsignal(signal.SIGALRM)
+    timer = signal.getitimer(signal.ITIMER_REAL)
+    yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert signal.getitimer(signal.ITIMER_REAL) == timer
+    if fds is not None:
+        assert sorted(os.listdir(FDS)) == fds
+
+
+def wait_for(path, seconds=20):
+    """Poll for ``path`` for up to ``seconds``; whether it appeared."""
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return path.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare", "sweep", "oracle-check"])
@@ -590,21 +618,94 @@ def test_cli_outputs_are_the_same_bytes_serial_and_forked(
 
 def test_forked_map_keeps_item_order_across_processes(monkeypatch):
     forking(monkeypatch, cpus=3)
-    results = experiments._forked_map(lambda x: (x * x, os.getpid()), list(range(10)))
+    with leaves_nothing_behind():
+        results = experiments._forked_map(lambda x: (x * x, os.getpid()), list(range(10)))
     assert [square for square, _ in results] == [x * x for x in range(10)]
-    assert len({pid for _, pid in results}) == 3
-    assert_no_child_left()
+    # 10 items on 3 CPUs: 4 shares of at most 3 items each
+    assert len({pid for _, pid in results}) == 4
 
 
-@pytest.mark.parametrize("cpus, worth", [(1, 0.0), (2, math.inf)])
+@pytest.mark.parametrize(
+    "n, cpus, processes, most", [(5, 2, 3, 2), (6, 2, 2, 3), (10, 3, 4, 3), (3, 8, 3, 1)]
+)
+def test_forked_map_shares_hold_at_most_n_over_cpus_items(monkeypatch, n, cpus, processes, most):
+    forking(monkeypatch, cpus=cpus)
+    with leaves_nothing_behind():
+        pids = experiments._forked_map(lambda x: os.getpid(), list(range(n)))
+    per_process = collections.Counter(pids)
+    assert len(per_process) == processes
+    assert max(per_process.values()) == most
+    assert pids[0] == os.getpid()
+
+
+def test_children_start_while_item_0_still_runs(monkeypatch, tmp_path):
+    # Item 0 waits for item 1's process to start.  The timer forks 1 ms into
+    # item 0; a map that forked only once item 0 had ended would wait 20 s
+    # and then run item 1 too late for item 0 to see it.
+    forking(monkeypatch, worth=0.001)
+    marker = tmp_path / "item 1 started"
+
+    def fn(x):
+        if x == 1:
+            marker.touch()
+            return os.getpid()
+        return wait_for(marker)
+
+    with leaves_nothing_behind():
+        saw, pid = experiments._forked_map(fn, [0, 1])
+    assert saw
+    assert pid != os.getpid()
+
+
+# 1000 s arms a timer that item 0 ends long before
+@pytest.mark.parametrize("cpus, worth", [(1, 0.0), (2, math.inf), (2, 1000.0)])
 def test_forked_map_stays_in_process_without_two_cpus_or_enough_work(
     monkeypatch, cpus, worth
 ):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(experiments, "_FORK_WORTH_S", worth)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    assert experiments._forked_map(lambda x: -x, [3, 1, 2]) == [-3, -1, -2]
-    assert experiments._forked_map(lambda x: -x, []) == []
+    with leaves_nothing_behind():
+        assert experiments._forked_map(lambda x: -x, [3, 1, 2]) == [-3, -1, -2]
+        assert experiments._forked_map(lambda x: -x, []) == []
+
+
+def in_a_thread(call):
+    results = []
+    thread = threading.Thread(target=lambda: results.append(call()))
+    thread.start()
+    thread.join(30)
+    assert not thread.is_alive()
+    return results[0]
+
+
+@pytest.mark.parametrize("owner", ["caller's timer", "caller's handler", "another thread"])
+def test_forked_map_stays_in_process_where_it_cannot_own_the_timer(monkeypatch, owner):
+    forking(monkeypatch)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    call = lambda: experiments._forked_map(lambda x: -x, [3, 1, 2])  # noqa: E731
+    if owner == "another thread":
+        with leaves_nothing_behind():
+            assert in_a_thread(call) == [-3, -1, -2]
+    elif owner == "caller's handler":
+        previous = signal.signal(signal.SIGALRM, lambda *_: None)
+        try:
+            with leaves_nothing_behind():
+                assert call() == [-3, -1, -2]
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+    else:
+        # SIGALRM's default action ends the process, so the timer is long
+        # and disarmed whatever happens
+        signal.setitimer(signal.ITIMER_REAL, 1000)
+        try:
+            assert call() == [-3, -1, -2]
+            left, interval = signal.getitimer(signal.ITIMER_REAL)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        assert 990 < left <= 1000
+        assert interval == 0
+        assert signal.getsignal(signal.SIGALRM) is signal.SIG_DFL
 
 
 def test_child_exception_reaches_the_parent_with_its_type_and_message(monkeypatch):
@@ -616,10 +717,11 @@ def test_child_exception_reaches_the_parent_with_its_type_and_message(monkeypatc
             raise ConfigError(f"item {x} failed in a child")
         return x
 
-    # item 0 runs in the parent first; of the rest, item 1 goes to the child
-    with pytest.raises(ConfigError, match=r"^item 1 failed in a child$"):
-        experiments._forked_map(fn, [0, 1, 2])
-    assert_no_child_left()
+    # the parent keeps item 0; items 1 and 2 go to a child each, and the
+    # first child's error is raised
+    with leaves_nothing_behind():
+        with pytest.raises(ConfigError, match=r"^item 1 failed in a child$"):
+            experiments._forked_map(fn, [0, 1, 2])
 
 
 def test_child_that_exits_without_results_names_its_exit_status(monkeypatch):
@@ -631,9 +733,9 @@ def test_child_that_exits_without_results_names_its_exit_status(monkeypatch):
             os._exit(3)
         return x
 
-    with pytest.raises(ChildProcessError, match="exit status 3"):
-        experiments._forked_map(fn, [0, 1, 2])
-    assert_no_child_left()
+    with leaves_nothing_behind():
+        with pytest.raises(ChildProcessError, match="exit status 3"):
+            experiments._forked_map(fn, [0, 1, 2])
 
 
 def test_interrupt_in_the_parent_ends_and_reaps_a_busy_child(monkeypatch):
@@ -647,8 +749,29 @@ def test_interrupt_in_the_parent_ends_and_reaps_a_busy_child(monkeypatch):
             raise KeyboardInterrupt
         return x
 
+    # 4 items on 2 CPUs: the parent's share is items 0 and 2, the child's 1 and 3
     start = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        experiments._forked_map(fn, [0, 1, 2])
+    with leaves_nothing_behind():
+        with pytest.raises(KeyboardInterrupt):
+            experiments._forked_map(fn, [0, 1, 2, 3])
     assert time.perf_counter() - start < 30
-    assert_no_child_left()
+
+
+def test_interrupt_in_item_0_after_the_fork_ends_and_reaps_busy_children(monkeypatch, tmp_path):
+    forking(monkeypatch, worth=0.001)
+    parent = os.getpid()
+    marker = tmp_path / "a child started"
+
+    def fn(x):
+        if os.getpid() != parent:
+            marker.touch()
+            time.sleep(60)
+        elif x == 0 and wait_for(marker):
+            raise KeyboardInterrupt
+        return x
+
+    start = time.perf_counter()
+    with leaves_nothing_behind():
+        with pytest.raises(KeyboardInterrupt):
+            experiments._forked_map(fn, [0, 1, 2])
+    assert time.perf_counter() - start < 30
