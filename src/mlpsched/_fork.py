@@ -11,11 +11,12 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import sys
 from typing import Callable, Sequence
 
 
-class Children:
-    """The forked processes of one map over ``items``.
+def map_in_children(fn: Callable, items: Sequence, cpus: int) -> list:
+    """``[fn(x) for x in items]``, in order, computed by w forked processes.
 
     The items go in w strided shares ``items[c::w]``: one item each while
     n < ``cpus``, otherwise the fewest shares with at most n // ``cpus``
@@ -23,82 +24,61 @@ class Children:
     so under fair time-slicing the processes finish after n / ``cpus`` runs
     of equal items: 2.5 for 5 items on 2 CPUs, where 2 shares would take 3.
     Child c computes share c for 0 < c < w, sends its results back pickled
-    over its own pipe (``_send``) and ends in ``os._exit``.  This process
-    keeps share 0.
+    over its own pipe (``_send``) and ends in ``os._exit``; this process
+    computes share 0, then reads every pipe to EOF.
+
+    On any error or interrupt here every child is killed.  On every path
+    every pipe is closed and every child reaped before this returns or
+    raises.  A child's exception is then raised here with its type and
+    message; a child that sent nothing is named by its exit status.
     """
-
-    def __init__(self, fn: Callable, items: Sequence, cpus: int) -> None:
-        n = len(items)
-        self.fn = fn
-        self.items = items
-        self.workers = n if n < cpus else -(-n // (n // cpus))
-        self.pids: list[int] = []
-        self.read_ends: list[int] = []
-
-    def start(self) -> None:
-        """Fork the children, recording each pipe and pid as it is made, so
-        that ``abort`` reaches every one even if this raises part-way."""
-        for c in range(1, self.workers):
+    n = len(items)
+    w = n if n < cpus else -(-n // (n // cpus))
+    sys.stdout.flush()  # else a child could inherit, and a parent lose, buffered output
+    sys.stderr.flush()
+    pids: list[int] = []
+    read_ends: list[int] = []
+    try:
+        for c in range(1, w):
             read_end, write_end = os.pipe()
-            self.read_ends.append(read_end)
+            read_ends.append(read_end)
             try:
                 pid = os.fork()
                 if pid == 0:
                     code = 1
                     try:
-                        _send(write_end, self.fn, self.items[c :: self.workers])
+                        _send(write_end, fn, items[c::w])
                         code = 0
                     finally:
                         os._exit(code)
-                self.pids.append(pid)
+                pids.append(pid)
             finally:
                 # Only the child keeps a write end: its exit is the pipe's EOF.
                 os.close(write_end)
-
-    def collect(self, first) -> list:
-        """All results in item order, ``first`` being ``fn(items[0])``: run the
-        rest of share 0 here, read every pipe to EOF and reap every child.
-
-        A child's exception is raised here with its type and message; a
-        child that sent nothing is named by its exit status.  On any error
-        here the children are aborted first.
-        """
-        w = self.workers
-        try:
-            mine = [first, *map(self.fn, self.items[w::w])]
-            sent = [_read_to_eof(fd) for fd in self.read_ends]
-        except BaseException:
-            self.abort()
-            raise
-        statuses = self._close()
-        results: list = [None] * len(self.items)
-        results[::w] = mine
-        for c, (pid, data, status) in enumerate(zip(self.pids, sent, statuses), 1):
-            if status != 0 or not data:
-                code = os.waitstatus_to_exitcode(status)
-                ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
-                raise ChildProcessError(
-                    f"worker process {pid} ended with {ended} before sending its results"
-                )
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results[c::w] = value
-        return results
-
-    def abort(self) -> None:
-        """Kill every child, then close every pipe and reap every child."""
-        try:
-            for pid in self.pids:
-                os.kill(pid, signal.SIGKILL)
-        finally:
-            self._close()
-
-    def _close(self) -> list[int]:
-        """Close every read end and reap every child; the wait statuses."""
-        for fd in self.read_ends:
+        mine = list(map(fn, items[::w]))
+        sent = [_read_to_eof(fd) for fd in read_ends]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in read_ends:
             os.close(fd)
-        return [os.waitpid(pid, 0)[1] for pid in self.pids]
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    results: list = [None] * n
+    results[::w] = mine
+    for c, (pid, data, status) in enumerate(zip(pids, sent, statuses), 1):
+        if status != 0 or not data:
+            code = os.waitstatus_to_exitcode(status)
+            ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
+            raise ChildProcessError(
+                f"worker process {pid} ended with {ended} before sending its results"
+            )
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results[c::w] = value
+    return results
 
 
 def _send(fd: int, fn: Callable, share: Sequence) -> None:

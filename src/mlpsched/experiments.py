@@ -13,9 +13,10 @@ identical workloads and seeds, and emit schema-stable tables:
 Independent runs (the policies of a batch, every (point, policy) run of a
 sweep, the oracle decisions of an oracle check) go to forked processes, in
 shares of at most max(1, runs // CPUs) runs each, once the first run has
-gone on long enough to pay for the forks; the forks happen while it still
-runs (``_forked_map``).  The results are the same whatever the CPU count;
-without ``os.fork`` the runs are serial.
+gone on long enough to pay for the forks: a timer stops that run, and the
+map forks and runs it again in its own share (``_forked_map``).  The
+results are the same whatever the CPU count; without ``os.fork`` the runs
+are serial.
 
 Data files never embed timestamps, so identical inputs give identical bytes.
 Floats are written in shortest round-trip form (``str``).  Summary metrics
@@ -29,7 +30,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 import operator
 import os
 import sys
@@ -390,8 +390,13 @@ def measure(report: SimulationReport, warmup_quanta: int = 0) -> PolicyMetrics:
 # round trips; the tiny shipped configs stay below it.  It is applied as a
 # timer deadline: a map of n items forks once its first item has run for
 # _FORK_WORTH_S / (n - 1), when the n - 1 items left, if they cost as much,
-# are known to hold at least _FORK_WORTH_S of work.
+# are known to hold at least _FORK_WORTH_S of work.  Item 0 is then stopped
+# and run again from the start, so a map that forks does that much work twice.
 _FORK_WORTH_S = 0.025
+
+
+class _Deadline(BaseException):
+    """Raised by the map's SIGALRM handler to stop item 0 at its deadline."""
 
 
 def _usable_cpus() -> int:
@@ -413,63 +418,55 @@ def _forked_map(fn: Callable, items: Sequence) -> list:
     """``[fn(x) for x in items]``, in order, spread over forked processes.
 
     With n >= 2 items, at least two usable CPUs and ``_can_fork()``, the
-    parent flushes its output, arms a one-shot ``ITIMER_REAL`` and starts
-    ``items[0]``.  If that item is still running ``_FORK_WORTH_S / (n - 1)``
-    seconds later, the timer's ``SIGALRM`` handler forks the children
-    (``_fork.Children``); otherwise the parent runs the rest itself.  The
-    items go in strided shares ``items[c::w]``, one per process, with no
-    more than max(1, n // CPUs) items each; the parent keeps share 0.  A
-    process that cannot own the timer, because SIGALRM has a handler other
-    than the default or an ``ITIMER_REAL`` is armed, runs every item itself.
+    parent arms a one-shot ``ITIMER_REAL`` and runs ``items[0]``.  If that
+    item ends within ``_FORK_WORTH_S / (n - 1)`` seconds, the parent runs
+    the rest itself.  Otherwise the timer's ``SIGALRM`` handler stops it by
+    raising ``_Deadline``, and the map hands every item, item 0 again from
+    the start, to ``_fork.map_in_children``: strided shares ``items[c::w]``,
+    one per process, with no more than max(1, n // CPUs) items each, the
+    parent keeping share 0.  A process that cannot own the timer, because
+    SIGALRM has a handler other than the default or an ``ITIMER_REAL`` is
+    armed, runs every item itself.
 
     ``fn`` must be deterministic in its item, so the results do not depend
-    on which process computes them; re-entrant, since a child runs its
-    share from inside the parent's ``fn(items[0])``; and its results must
-    pickle.  On any error or interrupt, item 0's included, the children are
-    killed, every pipe closed and every child reaped before this raises.
+    on which process computes them; safe to stop part-way and run again;
+    and its results must pickle.  On any error or interrupt the children
+    are killed, every pipe closed and every child reaped before this raises.
     """
     cpus = _usable_cpus()
-    if len(items) < 2 or cpus < 2 or _FORK_WORTH_S == math.inf or not _can_fork():
+    if len(items) < 2 or cpus < 2 or not _can_fork():
         return list(map(fn, items))
-    import signal  # imported only by a map that may fork
+    if _FORK_WORTH_S > 0:
+        import signal  # imported only by a map that may fork
 
-    if signal.getsignal(signal.SIGALRM) is not signal.SIG_DFL or any(
-        signal.getitimer(signal.ITIMER_REAL)
-    ):
-        return list(map(fn, items))
-    children = None
-    startable = True
+        if signal.getsignal(signal.SIGALRM) is not signal.SIG_DFL or any(
+            signal.getitimer(signal.ITIMER_REAL)
+        ):
+            return list(map(fn, items))
+        running = True
 
-    def start(*_) -> None:
-        nonlocal children, startable
-        if startable:
-            startable = False
-            from ._fork import Children  # compiled and imported only by a map that forks
+        def stop(*_) -> None:
+            if running:
+                raise _Deadline
 
-            children = Children(fn, items, cpus)
-            children.start()
-
-    sys.stdout.flush()  # else a child could inherit, and a parent lose, buffered output
-    sys.stderr.flush()
-    previous = signal.signal(signal.SIGALRM, start)
-    try:
+        previous = signal.signal(signal.SIGALRM, stop)
         try:
-            if _FORK_WORTH_S > 0:
-                signal.setitimer(signal.ITIMER_REAL, _FORK_WORTH_S / (len(items) - 1))
-            else:
-                start()
-            first = fn(items[0])
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            startable = False  # a SIGALRM already delivered starts nothing now
-            signal.signal(signal.SIGALRM, previous)
-    except BaseException:
-        if children is not None:
-            children.abort()
-        raise
-    if children is None:
-        return [first, *map(fn, items[1:])]
-    return children.collect(first)
+            try:
+                try:
+                    signal.setitimer(signal.ITIMER_REAL, _FORK_WORTH_S / (len(items) - 1))
+                    first = fn(items[0])
+                finally:
+                    running = False  # a SIGALRM delivered from here on stops nothing
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
+        except _Deadline:
+            pass
+        else:
+            return [first, *map(fn, items[1:])]
+    from ._fork import map_in_children  # compiled and imported only by a map that forks
+
+    return map_in_children(fn, items, cpus)
 
 
 def run_policies(config: ExperimentConfig) -> list[SimulationReport]:
@@ -580,9 +577,11 @@ def run_sweep(config: ExperimentConfig) -> tuple[tuple[str, ...], list[tuple]]:
         label = ", ".join(f"{k}={_shown(v)}" for k, v in point.items())
         system_fields = {k: v for k, v in point.items() if k in _SYSTEM_FIELDS}
         try:
+            with _naming("system"):
+                system = replace(config.system, **system_fields)
             point_config = replace(
                 config,
-                system=replace(config.system, **system_fields),
+                system=system,
                 quanta=point.get("quanta", config.quanta),
                 seed=point.get("seed", config.seed),
             )

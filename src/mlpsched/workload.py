@@ -33,7 +33,8 @@ IDLE_PHASE_DURATION = 1 << 30
 
 
 class TraceError(ValueError):
-    """A trace file is malformed; the message names the offending line."""
+    """A trace file is malformed; the message names the offending line, or
+    the file and the first bad byte of one that is not UTF-8."""
 
 
 class Phase(Value):
@@ -177,18 +178,33 @@ def _unpack_error(line: str, line_no: int) -> TraceError:
             int(raw)
         except ValueError:
             break
+    digits = raw.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if digits.isdecimal():  # refused for its length alone
+        return TraceError(
+            f"line {line_no}: {field} is past the interpreter's integer digit limit, "
+            f"got {_shown(raw)}"
+        )
     return TraceError(f"line {line_no}: {field} must be an integer, got {_shown(raw)}")
 
 
 def load_trace(path: str) -> tuple[ThreadWorkload, ...]:
     """Load a trace file; the inverse of ``save_trace`` on valid scenarios.
 
-    Errors name the offending physical line (the version line is line 1).
+    Errors name the offending physical line (the version line is line 1),
+    or, for a file that is not UTF-8, the file and the first bad byte.
     Demands are checked against a machine's pool by ``pad_workloads``.
     Rows with equal duration and demand share one ``Phase``.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:  # one decode of the whole file: start is its offset
+            raise TraceError(
+                f"trace {path}: not UTF-8, byte {exc.object[exc.start]:#04x} "
+                f"at offset {exc.start} cannot be decoded"
+            ) from None
     if not lines or lines[0].strip() != TRACE_VERSION_LINE:
         raise TraceError(f"line 1: expected version line {TRACE_VERSION_LINE!r}")
     if len(lines) < 2 or tuple(lines[1].strip().split(",")) != TRACE_FIELDS:

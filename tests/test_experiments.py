@@ -4,8 +4,8 @@ import collections
 import csv
 import itertools
 import json
-import math
 import os
+import pickle
 import shutil
 import signal
 import threading
@@ -468,13 +468,20 @@ def test_sweep_rejects_optimal_point_before_any_point_runs(tmp_path, monkeypatch
 
 @pytest.mark.parametrize(
     "key, bad, field",
-    [("seed", -5, "seed"), ("seed", 1 << 64, "seed"), ("quanta", 1, "warmup_quanta")],
+    [
+        ("seed", -5, "seed"),
+        ("seed", 1 << 64, "seed"),
+        ("quanta", 1, "warmup_quanta"),
+        ("mshrs_per_processor", 0, "system"),
+        ("window_cycles", 401, "system"),
+    ],
 )
 def test_sweep_checks_every_point_as_a_config_before_any_runs(
     tmp_path, monkeypatch, key, bad, field
 ):
     # the bad value is the last point; it is refused as in a loaded config
-    doc = base_doc(quanta=3, warmup_quanta=1, sweep={key: [3, bad]})
+    doc = base_doc(quanta=3, warmup_quanta=1)
+    doc["sweep"] = {key: [doc["system"].get(key, 3), bad]}
     config = load_experiment(write_config(tmp_path, doc))
     runs = []
     monkeypatch.setattr(experiments, "run_simulation", refusing_runs(runs))
@@ -554,7 +561,8 @@ def test_repo_configs_parse_and_pad():
 
 def forking(monkeypatch, cpus=2, worth=0.0):
     """Make ``_forked_map`` see ``cpus`` CPUs and fork once item 0 has run
-    ``worth / (n - 1)`` seconds; by default before item 0 starts."""
+    ``worth / (n - 1)`` seconds, running item 0 again after the fork; by
+    default it forks without a first run of item 0."""
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(experiments, "_FORK_WORTH_S", worth)
 
@@ -599,21 +607,48 @@ def test_cli_outputs_are_the_same_bytes_serial_and_forked(
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forked_map = experiments._forked_map
+    timed = []  # per map of 2+ items: (deadline, item 0's runs to the end, forked)
+
+    def watched_map(fn, items):
+        runs = []
+
+        def indexed(i):
+            if i:
+                return fn(items[i])
+            started = time.perf_counter()
+            result = fn(items[0])
+            runs.append(time.perf_counter() - started)
+            return result
+
+        before = len(forks)
+        results = forked_map(indexed, list(range(len(items))))
+        if len(items) >= 2:
+            timed.append((experiments._FORK_WORTH_S / (len(items) - 1), runs, len(forks) > before))
+        return results
+
+    monkeypatch.setattr(experiments, "_forked_map", watched_map)
     given, forks_made = [], []
-    for cpus, worth in ((1, experiments._FORK_WORTH_S), (2, 0.0)):
+    # serial; forking before item 0; forking once item 0 outlasts 0.1 ms / (n - 1)
+    for cpus, worth in ((1, experiments._FORK_WORTH_S), (2, 0.0), (2, 0.0001)):
         monkeypatch.setattr(experiments, "_usable_cpus", lambda n=cpus: n)
         monkeypatch.setattr(experiments, "_FORK_WORTH_S", worth)
         shutil.rmtree(out, ignore_errors=True)
         forks.clear()
+        timed.clear()
         code = main(argv)
         written = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
         given.append((code, capsys.readouterr(), written))
         forks_made.append(len(forks))
-    assert given[0] == given[1]
-    # the serial run never forks; the other forks wherever a map has two items
+    assert given[0] == given[1] == given[2]
+    # the serial run never forks; the second forks wherever a map has two items
     several = command in ("sweep", "oracle-check") or len(load_experiment(argv[2]).policies) > 1
     assert forks_made[0] == 0
     assert forks_made[1] > 0 or given[1][0] != 0 or not several
+    # the third forks every map whose item 0 ran past its deadline, allowing
+    # 1 ms for the timer's signal to arrive
+    for deadline, runs, forked in timed:
+        assert forked or runs[0] <= deadline + 0.001
 
 
 def test_forked_map_keeps_item_order_across_processes(monkeypatch):
@@ -639,9 +674,10 @@ def test_forked_map_shares_hold_at_most_n_over_cpus_items(monkeypatch, n, cpus, 
 
 
 def test_children_start_while_item_0_still_runs(monkeypatch, tmp_path):
-    # Item 0 waits for item 1's process to start.  The timer forks 1 ms into
-    # item 0; a map that forked only once item 0 had ended would wait 20 s
-    # and then run item 1 too late for item 0 to see it.
+    # Item 0 waits for item 1's process to start.  The timer stops item 0
+    # 1 ms in, and the map forks and runs item 0 again; a map that forked
+    # only once item 0 had ended would wait 20 s and then run item 1 too
+    # late for item 0 to see it.
     forking(monkeypatch, worth=0.001)
     marker = tmp_path / "item 1 started"
 
@@ -657,8 +693,30 @@ def test_children_start_while_item_0_still_runs(monkeypatch, tmp_path):
     assert pid != os.getpid()
 
 
+def test_item_0_stopped_at_its_deadline_starts_again_after_the_fork(monkeypatch, tmp_path):
+    # Item 0 waits for a child's marker; the timer stops it 0.5 ms in, so
+    # it starts once before the fork and once after, in the parent's share.
+    forking(monkeypatch, worth=0.001)
+    parent = os.getpid()
+    marker = tmp_path / "a child ran"
+    starts = []
+
+    def fn(x):
+        if os.getpid() != parent:
+            marker.touch()
+        elif x == 0:
+            starts.append(x)
+            wait_for(marker)
+        return x * x
+
+    with leaves_nothing_behind():
+        results = experiments._forked_map(fn, [0, 1, 2])
+    assert starts == [0, 0]
+    assert results == [0, 1, 4]
+
+
 # 1000 s arms a timer that item 0 ends long before
-@pytest.mark.parametrize("cpus, worth", [(1, 0.0), (2, math.inf), (2, 1000.0)])
+@pytest.mark.parametrize("cpus, worth", [(1, 0.0), (2, 1000.0)])
 def test_forked_map_stays_in_process_without_two_cpus_or_enough_work(
     monkeypatch, cpus, worth
 ):
@@ -681,9 +739,16 @@ def in_a_thread(call):
 
 @pytest.mark.parametrize("owner", ["caller's timer", "caller's handler", "another thread"])
 def test_forked_map_stays_in_process_where_it_cannot_own_the_timer(monkeypatch, owner):
-    forking(monkeypatch)
+    # item 0 runs 20 times its 0.5 ms deadline, so an owned timer would fork
+    forking(monkeypatch, worth=0.001)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    call = lambda: experiments._forked_map(lambda x: -x, [3, 1, 2])  # noqa: E731
+
+    def fn(x):
+        if x == 3:
+            time.sleep(0.01)
+        return -x
+
+    call = lambda: experiments._forked_map(fn, [3, 1, 2])  # noqa: E731
     if owner == "another thread":
         with leaves_nothing_behind():
             assert in_a_thread(call) == [-3, -1, -2]
@@ -722,6 +787,50 @@ def test_child_exception_reaches_the_parent_with_its_type_and_message(monkeypatc
     with leaves_nothing_behind():
         with pytest.raises(ConfigError, match=r"^item 1 failed in a child$"):
             experiments._forked_map(fn, [0, 1, 2])
+
+
+class Unpicklable(Exception):
+    """An exception that cannot be sent back from a child."""
+
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+def test_child_exception_that_does_not_pickle_reaches_the_parent_by_type_and_message(
+    monkeypatch,
+):
+    forking(monkeypatch)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            raise Unpicklable(f"bad {x}")
+        return x
+
+    with leaves_nothing_behind():
+        with pytest.raises(RuntimeError, match=r"^Unpicklable: bad 1$"):
+            experiments._forked_map(fn, [0, 1, 2])
+
+
+def closure(x):
+    return lambda: x
+
+
+def test_child_result_that_does_not_pickle_reaches_the_parent_as_the_pickling_error(
+    monkeypatch,
+):
+    forking(monkeypatch)
+    parent = os.getpid()
+    with pytest.raises(Exception) as expected:
+        pickle.dumps((True, [closure(1)]), pickle.HIGHEST_PROTOCOL)
+
+    def fn(x):
+        return x if os.getpid() == parent else closure(x)
+
+    with leaves_nothing_behind():
+        with pytest.raises(type(expected.value)) as err:
+            experiments._forked_map(fn, [0, 1])
+    assert str(err.value) == str(expected.value)
 
 
 def test_child_that_exits_without_results_names_its_exit_status(monkeypatch):

@@ -1,6 +1,7 @@
 """Workload construction: phases, synthetic generation, trace files."""
 
 import random
+import sys
 
 import pytest
 
@@ -171,6 +172,35 @@ def test_load_trace_rejects_non_integer_field(tmp_path):
         load_trace(path)
     assert "line 3" in str(err.value)
     assert "duration" in str(err.value)
+
+
+def test_load_trace_names_the_file_and_offset_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.trace"
+    head = (TRACE_VERSION_LINE + "\nthread,phase,duration,demand,repeat\n0,0,").encode()
+    path.write_bytes(head + b"\xff0,4,1\n")
+    with pytest.raises(TraceError) as err:
+        load_trace(path)
+    assert str(err.value) == (
+        f"trace {path}: not UTF-8, byte 0xff at offset {len(head)} cannot be decoded"
+    )
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="the interpreter has no digit limit"
+)
+def test_load_trace_names_an_integer_past_the_digit_limit(tmp_path):
+    path = tmp_path / "bad.trace"
+    digits = "9" * (sys.get_int_max_str_digits() + 700)
+    path.write_text(
+        TRACE_VERSION_LINE + "\nthread,phase,duration,demand,repeat\n0,0," + digits + ",4,1\n"
+    )
+    with pytest.raises(TraceError) as err:
+        load_trace(path)
+    message = str(err.value)
+    assert message.startswith(
+        "line 3: duration is past the interpreter's integer digit limit, got '999"
+    )
+    assert len(message) < 120
 
 
 def test_load_trace_rejects_gap_in_phase_numbering(tmp_path):
