@@ -103,7 +103,7 @@ from bisect import insort
 from collections import deque
 from itertools import chain
 from itertools import cycle as cycled
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     MlpVector,
@@ -191,6 +191,7 @@ def run_simulation(
     policy: Policy | str,
     seed: int = 0,
     total_quanta: int = 1,
+    observer: Callable[[QuantumRecord], object] | None = None,
 ) -> SimulationReport:
     """Drive the feedback loop: simulate a quantum, sample counters, reschedule.
 
@@ -201,6 +202,11 @@ def run_simulation(
     ``quantum_seed(seed, q)``); threads whose processor changed are frozen
     for ``migration_penalty`` cycles while their in-flight requests drain on
     the old pool.  The report is deterministic in every argument.
+
+    ``observer``, if given, is called once per quantum, in order, with the
+    quantum's record as soon as it is built, before the next quantum runs.
+    The record is the one the report will hold, so the observer must not
+    mutate it; an exception it raises propagates out of the run.
     """
     policy = Policy(policy)
     if total_quanta < 1:
@@ -413,6 +419,8 @@ def run_simulation(
                 stalls=tuple(stalls),
             )
         )
+        if observer is not None:
+            observer(records[-1])
         for t, (p, _) in enumerate(chosen.placement):
             if penalty and p != where[t]:
                 frozen[t] = boundary + penalty

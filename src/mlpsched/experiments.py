@@ -11,12 +11,13 @@ identical workloads and seeds, and emit schema-stable tables:
 * a sweep CSV over a cartesian product of config values.
 
 Independent runs (the policies of a batch, every (point, policy) run of a
-sweep, the oracle decisions of an oracle check) go to forked processes, in
-shares of at most max(1, runs // CPUs) runs each, once the first run has
-gone on long enough to pay for the forks: a timer stops that run, and the
-map forks and runs it again in its own share (``_forked_map``).  The
-results are the same whatever the CPU count; without ``os.fork`` the runs
-are serial.
+sweep) go to forked processes, in shares of at most max(1, runs // CPUs)
+runs each, once the first run has gone on long enough to pay for the
+forks: a timer stops that run, and the map forks and runs it again in its
+own share (``_forked_map``).  An oracle check scores each quantum while
+its run goes on, and once the decisions left are worth a fork it streams
+them to forked workers (``run_oracle_check``).  The results are the same
+whatever the CPU count; without ``os.fork`` everything runs in one process.
 
 Data files never embed timestamps, so identical inputs give identical bytes.
 Floats are written in shortest round-trip form (``str``).  Summary metrics
@@ -35,6 +36,7 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import reduce
+from time import perf_counter
 from typing import Callable, Sequence
 
 from .core import (
@@ -387,11 +389,13 @@ def measure(report: SimulationReport, warmup_quanta: int = 0) -> PolicyMetrics:
 # Forking pays only when the work it moves off the parent is well above a
 # fork round trip: pipe, fork, pickle, read to EOF and waitpid took a median
 # 2.4-2.9 ms in-process on a 2-vCPU VM (BENCH_forked_map.json).  About ten
-# round trips; the tiny shipped configs stay below it.  It is applied as a
+# round trips; the tiny shipped configs stay below it.  A map applies it as a
 # timer deadline: a map of n items forks once its first item has run for
 # _FORK_WORTH_S / (n - 1), when the n - 1 items left, if they cost as much,
 # are known to hold at least _FORK_WORTH_S of work.  Item 0 is then stopped
 # and run again from the start, so a map that forks does that much work twice.
+# An oracle check applies it between quanta, to the mean decision time so
+# far times the quanta left, and repeats no work.
 _FORK_WORTH_S = 0.025
 
 
@@ -620,19 +624,53 @@ class OracleCheck(Value):
 def run_oracle_check(config: ExperimentConfig) -> OracleCheck:
     """Drive a serpentine run and score each sampled vector against the oracle.
 
+    Each quantum is scored as the run goes on, by an observer of the run.
+    It scores quanta itself while their mean time so far, times the quanta
+    left, stays below ``_FORK_WORTH_S``; from then on, given two usable
+    CPUs and ``_can_fork()``, it streams each vector to min(CPUs - 1,
+    quanta left) forked workers (``_fork.StreamedMap``) and, once the run
+    ends, scores from the last quantum back whatever no worker has sent.
+
     Ratio convention: a 0/0 quantum (all counters zero) counts as 1.0, since
     both schedulers are trivially optimal.  The machine must pass the
     oracle's thread cap, checked before the run starts.
     """
     _check_oracle_cap(config.system)
-    report = run_simulation(
-        config.system, config.workloads, Policy.SERPENTINE, config.seed, config.quanta
-    )
     system = config.system
-    optima = _forked_map(
-        lambda mlp: processor_load(optimal_partition(mlp, system), mlp, system).max_sum,
-        [rec.sampled_mlp for rec in report.per_quantum],
-    )
+    quanta = config.quanta
+    cpus = _usable_cpus() if _can_fork() else 1
+    optima = []
+    spent = 0.0  # seconds spent on the optima above
+    streamed = None
+
+    def optimum(mlp):
+        return processor_load(optimal_partition(mlp, system), mlp, system).max_sum
+
+    def score(rec):
+        nonlocal spent, streamed
+        mlp = rec.sampled_mlp
+        if streamed is None:
+            left = quanta - rec.index
+            pays = _FORK_WORTH_S <= 0 or (optima and spent / len(optima) * left >= _FORK_WORTH_S)
+            if cpus < 2 or left < 2 or not pays:
+                started = perf_counter()
+                optima.append(optimum(mlp))
+                spent += perf_counter() - started
+                return
+            from ._fork import StreamedMap  # compiled and imported only by a run that forks
+
+            streamed = StreamedMap(optimum, len(mlp), min(cpus - 1, left))
+        streamed.send(mlp)
+
+    try:
+        report = run_simulation(
+            system, config.workloads, Policy.SERPENTINE, config.seed, quanta, score
+        )
+        if streamed is not None:
+            optima += streamed.finish()
+    finally:
+        if streamed is not None:
+            streamed.close()
     rows = []
     worst = 1.0
     for rec, opt in zip(report.per_quantum, optima):

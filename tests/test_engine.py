@@ -374,6 +374,39 @@ def test_run_is_deterministic():
     assert [r.chosen for r in a.per_quantum] != [r.chosen for r in c.per_quantum]
 
 
+@pytest.mark.parametrize("policy", list(Policy))
+def test_observer_sees_every_quantum_record_once_in_order(policy):
+    cfg = machine(
+        num_processors=2,
+        slots_per_processor=2,
+        quantum_cycles=200,
+        window_cycles=50,
+        migration_penalty=30,
+    )
+    workloads = tuple(
+        ThreadWorkload(t, (Phase(90 + 40 * t, 2 * t + 1), Phase(150, 7 - t))) for t in range(4)
+    )
+    seen = []
+    observed = run_simulation(cfg, workloads, policy, 5, 7, seen.append)
+    assert observed == run_simulation(cfg, workloads, policy, 5, 7)
+    assert tuple(seen) == observed.per_quantum
+    assert [rec.index for rec in seen] == list(range(7))
+
+
+def test_observer_exception_ends_the_run():
+    cfg = machine(quantum_cycles=200, window_cycles=50)
+    seen = []
+
+    def observer(rec):
+        seen.append(rec.index)
+        if rec.index == 2:
+            raise KeyError("stop")
+
+    with pytest.raises(KeyError, match="stop"):
+        run_simulation(cfg, (ThreadWorkload(0, constant(3)),), "serpentine", 0, 5, observer)
+    assert seen == [0, 1, 2]
+
+
 def test_run_pads_too_few_threads():
     cfg = machine(num_processors=2, quantum_cycles=300, window_cycles=100)
     workloads = (ThreadWorkload(0, (Phase(40, 3), Phase(70, 1))),)

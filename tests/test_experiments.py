@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+import mlpsched._fork as _fork
+import mlpsched.engine as engine
 from mlpsched.cli import main
 from mlpsched.core import ConfigError, ScheduleQuality, SystemConfig, processor_load, replace
 from mlpsched.engine import run_simulation
@@ -629,8 +631,10 @@ def test_cli_outputs_are_the_same_bytes_serial_and_forked(
 
     monkeypatch.setattr(experiments, "_forked_map", watched_map)
     given, forks_made = [], []
-    # serial; forking before item 0; forking once item 0 outlasts 0.1 ms / (n - 1)
-    for cpus, worth in ((1, experiments._FORK_WORTH_S), (2, 0.0), (2, 0.0001)):
+    # serial; forking before item 0 (oracle-check: before quantum 0);
+    # forking once item 0 outlasts 0.1 ms / (n - 1); 3 CPUs, forking at once
+    settings = ((1, experiments._FORK_WORTH_S), (2, 0.0), (2, 0.0001), (3, 0.0))
+    for cpus, worth in settings:
         monkeypatch.setattr(experiments, "_usable_cpus", lambda n=cpus: n)
         monkeypatch.setattr(experiments, "_FORK_WORTH_S", worth)
         shutil.rmtree(out, ignore_errors=True)
@@ -640,11 +644,14 @@ def test_cli_outputs_are_the_same_bytes_serial_and_forked(
         written = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
         given.append((code, capsys.readouterr(), written))
         forks_made.append(len(forks))
-    assert given[0] == given[1] == given[2]
+    assert given[0] == given[1] == given[2] == given[3]
     # the serial run never forks; the second forks wherever a map has two items
     several = command in ("sweep", "oracle-check") or len(load_experiment(argv[2]).policies) > 1
     assert forks_made[0] == 0
     assert forks_made[1] > 0 or given[1][0] != 0 or not several
+    # oracle-check on 3 CPUs streams its quanta to two workers' strided shares
+    if command == "oracle-check" and given[3][0] == 0:
+        assert forks_made[3] == 2
     # the third forks every map whose item 0 ran past its deadline, allowing
     # 1 ms for the timer's signal to arrive
     for deadline, runs, forked in timed:
@@ -883,4 +890,182 @@ def test_interrupt_in_item_0_after_the_fork_ends_and_reaps_busy_children(monkeyp
     with leaves_nothing_behind():
         with pytest.raises(KeyboardInterrupt):
             experiments._forked_map(fn, [0, 1, 2])
+    assert time.perf_counter() - start < 30
+
+
+# streamed oracle check
+
+
+def oracle_doc(processors, slots, quanta):
+    """A machine with 8-cycle quanta, whose threads change demand every few
+    cycles so the sampled vectors vary from quantum to quantum."""
+    threads = [
+        {"phases": [[3 + t % 5, 1 + t % 4], [2 + t % 3, t % 2]]} for t in range(processors * slots)
+    ]
+    system = {
+        "num_processors": processors,
+        "slots_per_processor": slots,
+        "mshrs_per_processor": 4,
+        "memory_latency": 5,
+        "quantum_cycles": 8,
+        "window_cycles": 8,
+    }
+    return {
+        "system": system,
+        "workload": {"threads": threads},
+        "policies": ["serpentine"],
+        "quanta": quanta,
+    }
+
+
+def oracle_stdout(capsys, path):
+    assert main(["oracle-check", "--config", path]) == 0
+    return capsys.readouterr().out
+
+
+def serial_oracle_stdout(monkeypatch, capsys, path):
+    forking(monkeypatch, cpus=1)
+    return oracle_stdout(capsys, path)
+
+
+def recording_forks(monkeypatch):
+    """The pid of every child ``os.fork`` makes from here on, in order."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def recording_write_errors(monkeypatch):
+    """The type of every error ``os.write`` raises from here on."""
+    errors = []
+    write = os.write
+
+    def recorded(fd, data):
+        try:
+            return write(fd, data)
+        except OSError as exc:
+            errors.append(type(exc))
+            raise
+
+    monkeypatch.setattr(os, "write", recorded)
+    return errors
+
+
+def at_decision(monkeypatch, index, action):
+    """Call ``action`` in this process just before the run's decision on
+    quantum ``index``, which comes before that quantum is scored."""
+    decide = engine.next_schedule
+    parent = os.getpid()
+    decisions = itertools.count()
+
+    def decided(*args):
+        if os.getpid() == parent and next(decisions) == index:
+            action()
+        return decide(*args)
+
+    monkeypatch.setattr(engine, "next_schedule", decided)
+
+
+def test_oracle_check_forks_and_fills_no_pipe_on_a_long_run_of_tiny_quanta(
+    tmp_path, monkeypatch, capsys
+):
+    # 13,000 quanta: more 8-byte results (8,192) plus 16-byte vectors
+    # (4,096) than two 64 KiB pipes hold, so a parent that read the results
+    # only once the run ended would wait on a worker waiting on it
+    path = write_config(tmp_path, oracle_doc(1, 2, 13_000))
+    serial = serial_oracle_stdout(monkeypatch, capsys, path)
+    forking(monkeypatch, cpus=2)
+    pids = recording_forks(monkeypatch)
+    with leaves_nothing_behind():
+        assert oracle_stdout(capsys, path) == serial
+    assert len(pids) == 1
+
+
+def test_oracle_check_fork_holds_the_vectors_a_stalled_worker_has_no_room_for(
+    tmp_path, monkeypatch, capsys
+):
+    # 1,000 vectors of 12 doubles are 96,000 bytes, more than a 64 KiB pipe
+    # holds; the worker scores nothing before the run has made 800 of them
+    path = write_config(tmp_path, oracle_doc(1, 12, 1_000))
+    serial = serial_oracle_stdout(monkeypatch, capsys, path)
+    forking(monkeypatch, cpus=2)
+    parent = os.getpid()
+    marker = tmp_path / "the run is at quantum 800"
+    optimal = experiments.optimal_partition
+
+    def stalled(*args):
+        if os.getpid() != parent:
+            assert wait_for(marker)
+        return optimal(*args)
+
+    monkeypatch.setattr(experiments, "optimal_partition", stalled)
+    at_decision(monkeypatch, 800, marker.touch)
+    errors = recording_write_errors(monkeypatch)
+    with leaves_nothing_behind():
+        assert oracle_stdout(capsys, path) == serial
+    assert BlockingIOError in errors
+
+
+def test_oracle_check_fork_survives_a_worker_that_exits_before_reading(
+    tmp_path, monkeypatch, capsys
+):
+    path = write_config(tmp_path, oracle_doc(2, 2, 300))
+    serial = serial_oracle_stdout(monkeypatch, capsys, path)
+    forking(monkeypatch, cpus=2)
+    monkeypatch.setattr(_fork, "_serve", lambda *args: os._exit(3))
+    with leaves_nothing_behind():
+        assert oracle_stdout(capsys, path) == serial
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+def test_oracle_check_fork_survives_a_worker_killed_mid_run(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, oracle_doc(2, 2, 300))
+    serial = serial_oracle_stdout(monkeypatch, capsys, path)
+    forking(monkeypatch, cpus=2)
+    pids = recording_forks(monkeypatch)
+
+    def kill_the_worker():
+        os.kill(pids[0], signal.SIGKILL)
+        # wait for it to end, but leave it for the check to reap
+        os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+
+    at_decision(monkeypatch, 100, kill_the_worker)
+    errors = recording_write_errors(monkeypatch)
+    with leaves_nothing_behind():
+        assert oracle_stdout(capsys, path) == serial
+    assert BrokenPipeError in errors
+
+
+def test_interrupt_in_the_oracle_check_run_kills_and_reaps_its_forked_worker(
+    tmp_path, monkeypatch
+):
+    config = load_experiment(write_config(tmp_path, oracle_doc(2, 2, 300)))
+    forking(monkeypatch, cpus=2)
+    parent = os.getpid()
+    marker = tmp_path / "the worker started"
+    optimal = experiments.optimal_partition
+
+    def busy(*args):
+        if os.getpid() != parent:
+            marker.touch()
+            time.sleep(60)
+        return optimal(*args)
+
+    def interrupt():
+        assert wait_for(marker)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiments, "optimal_partition", busy)
+    at_decision(monkeypatch, 5, interrupt)
+    start = time.perf_counter()
+    with leaves_nothing_behind():
+        with pytest.raises(KeyboardInterrupt):
+            run_oracle_check(config)
     assert time.perf_counter() - start < 30
