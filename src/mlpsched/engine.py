@@ -38,13 +38,16 @@ count only the quantum's own retires, an offset the growth cancels.  The
 whole-run integrals, the threads' and the pools', are read once, at the end.
 
 *Events.*  Retire and issue run only at event cycles, the earliest of: an
-in-flight group's completion, some thread's cap change (a phase end, or a
+in-flight group's completion, some thread's cap change (a step end, or a
 migrated thread's unfreeze), the window start and the quantum boundary.  A
-constant thread, one whose single phase repeats, keeps its demand for the
-whole run, so its phase ends are no events; idle padding threads and the
-config's ``demands`` shorthand are such threads.  Between two events nothing
-touches any processor (next rule), so the skipped cycles change no count but
-the stalls, which are added in bulk.
+step is a run of consecutive phases of one demand, so a phase end that
+keeps the demand is no event, except at the end of a repeating thread's lap
+and at the end of the last phase of a thread that does not repeat.  A
+constant thread, one whose repeating phases all share one demand, keeps it
+for the whole run, so none of its phase ends is an event; idle padding
+threads and the config's ``demands`` shorthand are such threads.  Between
+two events nothing touches any processor (next rule), so the skipped
+cycles change no count but the stalls, which are added in bulk.
 
 *Touched processors.*  A processor's issue round ends with its pool full or
 with every resident at its cap: its demand, or 0 while frozen after a
@@ -56,7 +59,7 @@ and leave the same threads wanting, whatever its start slot:
   old pool before a migration retires (only groups issued before the
   quantum start, so completing in its first ``latency`` cycles, can hold
   one);
-* a resident's cap changes at a phase end or an unfreeze;
+* a resident's cap may change, at a step end or at an unfreeze;
 * the placement changes, at the quantum start.
 
 Residents' outstanding counts rise only by this processor's own grants, so
@@ -68,7 +71,7 @@ full pool and the cycle of that round, and those threads gain the cycles up
 to its next round or the quantum boundary, whichever is first.
 
 *Periodic fast-forward.*  Let P = L x latency, and let a processor's
-horizon be the earlier of its residents' next cap change (a phase end, or
+horizon be the earlier of its residents' next cap change (a step end, or
 the unfreeze of a frozen resident) and the quantum boundary.  Once the
 quantum's first ``latency`` cycles are over, its pool holds only its
 residents' requests, so until the horizon only its own retires touch it
@@ -101,8 +104,9 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import deque
-from itertools import chain
+from itertools import chain, groupby
 from itertools import cycle as cycled
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .core import (
@@ -168,16 +172,17 @@ class SimulationReport(Value):
     totals: SimulationTotals
 
 
-def _occupancy(now, latency, retired, outstanding, groups) -> list[int]:
+def _occupancy(now, latency, retired, cap, short, groups) -> list[int]:
     """Each thread's occupancy integral over cycles [0, now), less ``latency``
     per request it retired before ``retired`` began counting.
 
     A thread's requests issued before ``now`` are those retired and those
-    still in flight; each in-flight request still lacks ``completion - now``
-    of its ``latency``.  Two reads whose ``retired`` began at the same cycle
-    differ by exactly the integral between them.
+    still in flight, ``cap - short`` of them; each in-flight request still
+    lacks ``completion - now`` of its ``latency``.  Two reads whose
+    ``retired`` began at the same cycle differ by exactly the integral
+    between them.
     """
-    occ = [latency * (r + o) for r, o in zip(retired, outstanding)]
+    occ = [latency * (r + c - s) for r, c, s in zip(retired, cap, short)]
     for completion, _, threads in groups:
         ahead = completion - now
         for t in threads:
@@ -234,14 +239,17 @@ def run_simulation(
     used = [0] * k  # MSHRs held, per pool
     pool_issued = [0] * k  # requests ever issued, per pool
     owners = [[-1] * l for _ in range(k)]  # [processor][slot] -> thread
-    outstanding = [0] * n  # per thread, across both pools during a migration
-    # Each thread's phases as an endless iterator of (duration, demand): a
-    # repeating thread cycles its list, one that does not repeat ends in an
-    # idle phase that never ends, and a constant thread (one repeating
-    # phase) holds its demand forever.
+    # Each thread's phases as an endless iterator of (duration, demand) steps,
+    # consecutive phases of one demand merged into one step: a repeating
+    # thread cycles its steps, one that does not repeat ends in an idle step
+    # that never ends, and a constant thread (one repeating step) holds its
+    # demand forever.
     upcoming = []
+    duration_of, demand_of = attrgetter("duration"), attrgetter("demand")
     for w in workloads:
-        steps = [(ph.duration, ph.demand) for ph in w.phases]
+        steps = [
+            (sum(map(duration_of, run)), level) for level, run in groupby(w.phases, demand_of)
+        ]
         if not w.repeat:
             steps.append((math.inf, 0))
         elif len(steps) == 1:
@@ -250,9 +258,16 @@ def run_simulation(
     next_end, demand = map(list, zip(*map(next, upcoming)))
     frozen = [0] * n  # a migrated thread may not issue before this cycle
     cap = demand[:]  # how many requests a thread may hold: 0 while frozen
-    # (cycle, thread) whenever the thread's cap may change, at its next phase
+    # How many more requests each thread may issue: its cap less its
+    # outstanding requests (across both pools during a migration).  A grant
+    # takes one and a retire gives one back, a cap change adds the new cap
+    # less the old, and a thread whose cap fell below its outstanding
+    # requests goes negative.  Outstanding counts are read back as
+    # cap - short only where occupancy is read.
+    short = cap[:]
+    # (cycle, thread) whenever the thread's cap may change, at its next step
     # end or at its unfreeze, kept sorted so the head is the earliest.  A
-    # phase that never ends is never listed; an unfreeze a later migration
+    # step that never ends is never listed; an unfreeze a later migration
     # overtook is dropped when reached.  The tail sentinel is never reached,
     # so the list is never empty.
     cap_changes = sorted((end, t) for t, end in enumerate(next_end) if end < math.inf)
@@ -297,6 +312,7 @@ def run_simulation(
                         if duration < math.inf:
                             insort(cap_changes, (next_end[t], t))
                     if frozen[t] <= cycle:
+                        short[t] += demand[t] - cap[t]
                         cap[t] = demand[t]
                         touched.add(where[t])
 
@@ -306,7 +322,7 @@ def run_simulation(
                     _, p, threads = inflight.popleft()
                     used[p] -= len(threads)
                     for t in threads:
-                        outstanding[t] -= 1
+                        short[t] += 1
                         completed[t] += 1
                     touched.add(p)
                     if cycle < drain_end:
@@ -330,14 +346,13 @@ def run_simulation(
                     while True:
                         left = []
                         for t in wanting:
-                            held = outstanding[t]
-                            if held < cap[t]:
+                            want = short[t]
+                            if want > 0:
                                 if free:
                                     free -= 1
-                                    held += 1
-                                    outstanding[t] = held
+                                    short[t] = want - 1
                                     granted.append(t)
-                                    if held < cap[t]:
+                                    if want > 1:
                                         left.append(t)
                                 else:
                                     left.append(t)
@@ -398,7 +413,7 @@ def run_simulation(
                 if parked and parked[0][0] < next_event:
                     next_event = parked[0][0]
                 cycle = next_event
-            reads.append(_occupancy(cycle, latency, completed, outstanding, chain(inflight, parked)))
+            reads.append(_occupancy(cycle, latency, completed, cap, short, chain(inflight, parked)))
         window_base, occ = reads
 
         for p, wanting in enumerate(stalled):
@@ -424,6 +439,7 @@ def run_simulation(
         for t, (p, _) in enumerate(chosen.placement):
             if penalty and p != where[t]:
                 frozen[t] = boundary + penalty
+                short[t] -= cap[t]
                 cap[t] = 0
                 insort(cap_changes, (frozen[t], t))
         schedule = chosen
@@ -441,7 +457,7 @@ def run_simulation(
         stall_cycles_per_thread=tuple(stalls),
         stall_cycles=sum(stalls),
         occupancy_integral=tuple(
-            _occupancy(cycles, latency, completed, outstanding, chain(inflight, parked))
+            _occupancy(cycles, latency, completed, cap, short, chain(inflight, parked))
         ),
         mean_processor_occupancy=tuple(pt / cycles for pt in pool_total),
         cycles=cycles,

@@ -665,3 +665,134 @@ def test_matches_cycle_by_cycle_reference_on_sixteen_processors():
             seen["migration, penalty " + ("0" if kind == "0" else "> 0")] += 1
         seen["window < quantum"] += args[0].window_cycles < args[0].quantum_cycles
     assert min(seen.values()) >= 5, seen
+
+
+def split_phases(rng, workloads, splits):
+    """``workloads`` with ``splits`` phases, each of some random thread, cut in
+    two consecutive phases of the same demand at a random point."""
+    workloads = list(workloads)
+    for _ in range(splits):
+        cuttable = [
+            (t, i)
+            for t, w in enumerate(workloads)
+            for i, ph in enumerate(w.phases)
+            if ph.duration > 1
+        ]
+        if not cuttable:
+            break
+        t, i = rng.choice(cuttable)
+        w = workloads[t]
+        ph = w.phases[i]
+        cut = rng.randint(1, ph.duration - 1)
+        parts = (Phase(cut, ph.demand), Phase(ph.duration - cut, ph.demand))
+        workloads[t] = replace(w, phases=w.phases[:i] + parts + w.phases[i + 1 :])
+    return tuple(workloads)
+
+
+def test_splitting_a_phase_in_two_of_the_same_demand_changes_no_report():
+    """A phase end that keeps the demand changes nothing, so cutting phases
+    in two leaves the report equal; the corpus is checked to cover both
+    kinds of thread, every policy and each kind of migration."""
+    rng = random.Random(2023)
+    seen = dict.fromkeys(
+        (
+            "migration, penalty 0",
+            "migration, penalty up to Q",
+            "migration, penalty over Q",
+            "split a repeating thread",
+            "split a non-repeating thread",
+            "window = quantum",
+        ),
+        0,
+    )
+    policies = set()
+    for case in range(360):
+        policy = tuple(Policy)[case % len(Policy)]
+        make = random_machine if case % 2 else long_machine
+        cfg, workloads, policy, seed, quanta = make(rng, policy)
+        split = split_phases(rng, workloads, rng.randint(1, 4))
+        got = run_simulation(cfg, split, policy, seed, quanta)
+        assert got == run_simulation(cfg, workloads, policy, seed, quanta), f"case {case}"
+        kind = migration_kind(got)
+        if kind:
+            seen[f"migration, penalty {kind}"] += 1
+        changed = [w for w, before in zip(split, workloads) if w != before]
+        seen["split a repeating thread"] += any(w.repeat for w in changed)
+        seen["split a non-repeating thread"] += any(not w.repeat for w in changed)
+        seen["window = quantum"] += cfg.window_cycles == cfg.quantum_cycles
+        policies.add(policy)
+    assert policies == set(Policy)
+    assert min(seen.values()) >= 20, seen
+
+
+def two_level(rng, workloads, m):
+    """``workloads`` with every demand redrawn from two values in 0..m, so
+    most phase ends keep the demand."""
+    levels = rng.sample(range(m + 1), 2)
+    return tuple(
+        replace(w, phases=tuple(replace(ph, demand=rng.choice(levels)) for ph in w.phases))
+        for w in workloads
+    )
+
+
+def test_matches_cycle_by_cycle_reference_on_two_demand_levels():
+    """Demands drawn from two values, so most phase ends keep the demand and
+    the engine merges them: the corpus is checked to cover merged phase
+    ends, repeating threads whose phases all share one demand, and a
+    repeating thread whose last and first phases share one."""
+    rng = random.Random(2024)
+    seen = dict.fromkeys(
+        (
+            "phase end keeping the demand",
+            "repeating, one demand over several phases",
+            "repeating, last demand = first",
+            "non-repeating, last demand 0",
+        ),
+        0,
+    )
+    for case in range(300):
+        make = random_machine if case % 2 else long_machine
+        cfg, workloads, policy, seed, quanta = make(rng, tuple(Policy)[case % len(Policy)])
+        workloads = two_level(rng, workloads, cfg.mshrs_per_processor)
+        args = (cfg, workloads, policy, seed, quanta)
+        assert run_simulation(*args) == run_reference(*args), f"case {case}: {args}"
+        demands = [[ph.demand for ph in w.phases] for w in workloads]
+        seen["phase end keeping the demand"] += any(
+            a == b for d in demands for a, b in zip(d, d[1:])
+        )
+        seen["repeating, one demand over several phases"] += any(
+            w.repeat and len(d) > 1 and len(set(d)) == 1 for w, d in zip(workloads, demands)
+        )
+        seen["repeating, last demand = first"] += any(
+            w.repeat and len(set(d)) > 1 and d[0] == d[-1] for w, d in zip(workloads, demands)
+        )
+        seen["non-repeating, last demand 0"] += any(
+            not w.repeat and d[-1] == 0 for w, d in zip(workloads, demands)
+        )
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("policy", list(Policy), ids=lambda p: p.value)
+def test_repeating_phases_of_one_demand_run_as_a_constant_thread(policy):
+    """A repeating thread whose phases all share one demand is a constant
+    thread: the report equals the cycle-by-cycle reference's, and equals the
+    report with that thread given one phase."""
+    cfg = SystemConfig(
+        num_processors=2,
+        slots_per_processor=2,
+        mshrs_per_processor=5,
+        memory_latency=7,
+        quantum_cycles=90,
+        window_cycles=40,
+        migration_penalty=12,
+    )
+    same = ThreadWorkload(0, (Phase(13, 3), Phase(29, 3), Phase(8, 3)))
+    others = (
+        ThreadWorkload(1, (Phase(25, 4), Phase(40, 1))),
+        ThreadWorkload(2, (Phase(31, 2), Phase(17, 5), Phase(9, 2))),
+        ThreadWorkload(3, (Phase(60, 5), Phase(11, 0)), repeat=False),
+    )
+    args = (cfg, (same,) + others, policy, 3, 6)
+    got = run_simulation(*args)
+    assert got == run_reference(*args)
+    assert got == run_simulation(cfg, (ThreadWorkload(0, constant(3)),) + others, policy, 3, 6)
