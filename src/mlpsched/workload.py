@@ -156,6 +156,15 @@ def save_trace(workloads: Iterable[ThreadWorkload], path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# Row tails (the ``duration,demand,repeat`` text) that one load keeps.  A
+# trace that repeats its tails holds few distinct ones (905 in the 25,600
+# rows of the benchmark's dense trace), and they all fit.  A trace whose
+# tails never repeat gains nothing from the cache, so it stops growing here
+# (0.57 MB at 4,096 tails with six-digit durations) whatever the trace's
+# length.  One constant serves both kinds, so it is not a setting.
+_TAIL_CACHE_SIZE = 4096
+
+
 class _IntCache(dict):
     """Field text -> int, converting each distinct text once."""
 
@@ -195,7 +204,11 @@ def load_trace(path: str) -> tuple[ThreadWorkload, ...]:
     Errors name the offending physical line (the version line is line 1),
     or, for a file that is not UTF-8, the file and the first bad byte.
     Demands are checked against a machine's pool by ``pad_workloads``.
-    Rows with equal duration and demand share one ``Phase``.
+
+    Each distinct row tail, the ``duration,demand,repeat`` text, is parsed
+    and checked once, for up to ``_TAIL_CACHE_SIZE`` tails; a row whose tail
+    is past that bound is parsed and checked in full.  Rows with equal
+    duration and demand share one ``Phase``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -211,26 +224,44 @@ def load_trace(path: str) -> tuple[ThreadWorkload, ...]:
         raise TraceError(f"line 2: expected header {','.join(TRACE_FIELDS)!r}")
 
     as_int = _IntCache().__getitem__
+    tails: dict[str, tuple[Phase, int]] = {}  # checked row tail -> its Phase and flag
     shared: dict[tuple[int, int], Phase] = {}
     phases: dict[int, list[Phase]] = {}
     repeats: dict[int, int] = {}
+    # The last row's thread text, phase list and flag: a row that goes on
+    # with them at the next phase number only appends its Phase.
+    run_text, run, run_flag = None, [], None
     for line_no, line in enumerate(lines[2:], start=3):
         try:
-            thread, index, duration, demand, flag = map(as_int, line.split(","))
+            thread_raw, index_raw, tail = line.split(",", 2)
+            index = as_int(index_raw)
+            entry = tails.get(tail)
+            if (entry is not None and thread_raw == run_text
+                    and entry[1] == run_flag and index == len(run)):
+                run.append(entry[0])
+                continue
+            thread = as_int(thread_raw)
+            if entry is None:
+                duration, demand, flag = map(int, tail.split(","))
         except ValueError:
             if not line.strip():
                 continue
             raise _unpack_error(line, line_no) from None
         if thread < 0:
             raise TraceError(f"line {line_no}: thread must be >= 0, got {_shown(thread)}")
-        phase = shared.get((duration, demand))
-        if phase is None:  # Phase checks each distinct pair once
-            try:
-                phase = shared[duration, demand] = Phase(duration, demand)
-            except ValueError as exc:
-                raise TraceError(f"line {line_no}: {exc}") from exc
-        if flag not in (0, 1):
-            raise TraceError(f"line {line_no}: repeat must be 0 or 1, got {_shown(flag)}")
+        if entry is None:  # the tail's own checks, before it is kept
+            phase = shared.get((duration, demand))
+            if phase is None:
+                try:
+                    phase = shared[duration, demand] = Phase(duration, demand)
+                except ValueError as exc:
+                    raise TraceError(f"line {line_no}: {exc}") from exc
+            if flag not in (0, 1):
+                raise TraceError(f"line {line_no}: repeat must be 0 or 1, got {_shown(flag)}")
+            if len(tails) < _TAIL_CACHE_SIZE:
+                tails[tail] = phase, flag
+        else:
+            phase, flag = entry
         own = phases.get(thread)
         if own is None:
             own = phases[thread] = []
@@ -243,6 +274,7 @@ def load_trace(path: str) -> tuple[ThreadWorkload, ...]:
                 f"got {_shown(index)}"
             )
         own.append(phase)
+        run_text, run, run_flag = thread_raw, own, flag
 
     if not phases:
         raise TraceError("line 3: trace contains no records")

@@ -16,6 +16,7 @@ from mlpsched.workload import (
     pad_workloads,
     save_trace,
 )
+from mlpsched import workload as workload_module
 from mlpsched.workload import IDLE_PHASE_DURATION, TRACE_VERSION_LINE
 from reference import load_trace_reference
 
@@ -284,13 +285,13 @@ def test_rows_with_equal_duration_and_demand_share_one_phase(tmp_path):
 HEADER = "thread,phase,duration,demand,repeat"
 
 
-def random_scenario(rng):
+def random_scenario(rng, durations=300, demands=12, phases=6):
     return tuple(
         ThreadWorkload(
             t,
             tuple(
-                Phase(rng.randint(1, 300), rng.randint(0, 12))
-                for _ in range(rng.randint(1, 6))
+                Phase(rng.randint(1, durations), rng.randint(0, demands))
+                for _ in range(rng.randint(1, phases))
             ),
             repeat=bool(rng.getrandbits(1)),
         )
@@ -452,3 +453,130 @@ def test_loader_matches_reference_on_whole_trace_defects(tmp_path):
         path.write_text(text, encoding="utf-8")
         assert reported(path)
     assert reported(tmp_path / "missing thread.trace") == "thread 1 has no phases"
+
+
+# The same corpora on scenarios with few distinct row tails (the
+# "duration,demand,repeat" text), so that most rows, defect rows included,
+# repeat a tail that the loader has already checked and kept, and rows
+# often go on with the previous row's thread.
+
+def few_tails_scenario(rng):
+    return random_scenario(rng, durations=2, demands=2, phases=16)
+
+
+def in_order_rows(workloads):
+    """Each thread's rows in phase order, one thread after another."""
+    return [
+        [w.thread, i, ph.duration, ph.demand, int(w.repeat)]
+        for w in workloads
+        for i, ph in enumerate(w.phases)
+    ]
+
+
+def few_tails_rows(rng):
+    workloads = few_tails_scenario(rng)
+    rows = interleaved_rows(rng, workloads) if rng.getrandbits(1) else in_order_rows(workloads)
+    return workloads, rows
+
+
+def tail(row):
+    return ",".join(str(v) for v in row[2:])
+
+
+def test_loader_matches_reference_on_valid_traces_with_few_distinct_tails(tmp_path):
+    rng = random.Random(4210)
+    rows_seen = repeats = 0
+    for case in range(120):
+        workloads, rows = few_tails_rows(rng)
+        lines, numbers = trace_lines(rng, rows, respell=case % 3 == 2)
+        if case % 3 != 2:  # a respelled field makes a tail of its own
+            rows_seen += len(rows)
+            repeats += len(rows) - len({tail(row) for row in rows})
+        path = tmp_path / f"valid{case}.trace"
+        write_lines(path, rng, lines)
+        assert load_trace(path) == load_trace_reference(path) == workloads
+    assert repeats > 0.6 * rows_seen
+
+
+def test_loader_matches_reference_on_malformed_rows_whose_tail_is_cached(tmp_path):
+    rng = random.Random(4211)
+    run_rows = dict.fromkeys((name for name, _, _ in DEFECTS), 0)
+    for case in range(12 * len(DEFECTS)):
+        name, _, apply = DEFECTS[case % len(DEFECTS)]
+        while True:
+            _, rows = few_tails_rows(rng)
+            rows = [[str(v) for v in row] for row in rows]
+            # an earlier row holds the tail this row is looked up by: its
+            # own, or for a flipped repeat flag the flipped one
+            if name == "repeat flag flipped":
+                looked_up = [row[:4] + [str(1 - int(row[4]))] if row[1] != "0" else [] for row in rows]
+            else:
+                looked_up = rows
+            candidates = [
+                i for i, row in enumerate(looked_up) if row and tail(row) in map(tail, rows[:i])
+            ]
+            if candidates:
+                break
+        target = rng.choice(candidates)
+        previous = rows[target - 1] if target else None
+        if previous and previous[0] == rows[target][0] and previous[4] == rows[target][4]:
+            run_rows[name] += 1  # a row that, if valid, only goes on with the thread
+        apply(rows[target], rng)
+        lines, numbers = trace_lines(rng, rows, respell=False)
+        path = tmp_path / f"bad{case}.trace"
+        write_lines(path, rng, lines)
+        message = reported(path)
+        assert message.startswith(f"line {numbers[target]}: "), (name, message)
+    assert min(run_rows.values()) >= 3, run_rows
+
+
+def test_loader_matches_reference_past_the_tail_cache_bound(tmp_path, monkeypatch):
+    monkeypatch.setattr(workload_module, "_TAIL_CACHE_SIZE", 4)
+    rng = random.Random(4212)
+    for case in range(60):
+        while True:
+            workloads, rows = few_tails_rows(rng)
+            if len({tail(row) for row in rows}) > 8:
+                break
+        path = tmp_path / f"valid{case}.trace"
+        write_lines(path, rng, trace_lines(rng, rows, respell=case % 2 == 1)[0])
+        assert load_trace(path) == load_trace_reference(path) == workloads
+
+        name, _, apply = DEFECTS[case % len(DEFECTS)]
+        rows = [[str(v) for v in row] for row in rows]
+        # a late row, whose tail may be past the bound
+        candidates = [
+            i for i, row in enumerate(rows)
+            if i >= len(rows) // 2 and (name != "repeat flag flipped" or row[1] != "0")
+        ]
+        if not candidates:
+            continue
+        target = rng.choice(candidates)
+        apply(rows[target], rng)
+        lines, numbers = trace_lines(rng, rows, respell=False)
+        path = tmp_path / f"bad{case}.trace"
+        write_lines(path, rng, lines)
+        assert reported(path).startswith(f"line {numbers[target]}: "), name
+
+
+def test_loader_matches_reference_when_a_thread_resumes_after_another(tmp_path):
+    head = [TRACE_VERSION_LINE, HEADER, "0,0,5,1,1", "0,1,5,1,1", "1,0,5,1,0", "1,1,7,2,0"]
+    resumed = {
+        "next phase": ["0,2,5,1,1", "1,2,5,1,0", "0,3,7,2,1"],
+        "an earlier phase": ["0,1,5,1,1"],
+        "phase 0 again": ["0,0,5,1,1"],
+        "a skipped phase": ["0,3,5,1,1"],
+        "the other thread's flag": ["0,2,5,1,0"],
+        "a respelled thread, then a negative one": ["-0,2,5,1,1", "-1,2,5,1,1"],
+        "the other thread's next phase": ["0,2,7,2,1", "1,1,5,1,0"],
+    }
+    for name, rows in resumed.items():
+        path = tmp_path / f"{name}.trace"
+        path.write_text("\n".join(head + rows) + "\n", encoding="utf-8")
+        if name == "next phase":
+            assert load_trace(path) == load_trace_reference(path) == (
+                ThreadWorkload(0, (Phase(5, 1), Phase(5, 1), Phase(5, 1), Phase(7, 2))),
+                ThreadWorkload(1, (Phase(5, 1), Phase(7, 2), Phase(5, 1)), repeat=False),
+            )
+        else:
+            assert reported(path).startswith(f"line {len(head) + len(rows)}: "), name
