@@ -3,8 +3,13 @@
 Imported only once a caller has decided to fork, so that this module adds
 nothing to the start-up of a run that stays in one process.
 
-* ``map_in_children`` computes ``[fn(x) for x in items]`` in strided
-  shares, one per process, and sends each child's results back pickled
+Both are worker pools (``_Workers``): each worker is forked with only its
+own pipe ends open, runs its part and ends in ``os._exit``; the pool kills
+every worker (SIGKILL) on any error or interrupt, and on every path closes
+every pipe end it opened and reaps every worker it forked.
+
+* ``ForkedMap`` computes ``fn`` over strided shares of a list of items,
+  one share per worker, and each worker sends its results back pickled
   (``experiments._forked_map``).  It imports ``pickle`` before any fork:
   importing it in a forked child took 6-36 ms where the parent took 2-3 ms
   (2-vCPU VM).
@@ -13,9 +18,6 @@ nothing to the start-up of a run that stays in one process.
   few forked workers in strided shares, and each result comes back as one
   8-byte double, so values cross the pipes bit-exact and without
   ``pickle`` (``experiments.run_oracle_check``).
-
-Both kill every child (SIGKILL) on any error or interrupt, and on every
-path close every pipe they opened and reap every child they forked.
 """
 
 from __future__ import annotations
@@ -27,80 +29,120 @@ import sys
 from typing import Callable, Sequence
 
 
-def map_in_children(fn: Callable, items: Sequence, cpus: int) -> list:
-    """``[fn(x) for x in items]``, in order, computed by w forked processes.
+class _Workers:
+    """Forked workers and every pipe end this process holds for them."""
 
-    The items go in w strided shares ``items[c::w]``: one item each while
-    n < ``cpus``, otherwise the fewest shares with at most n // ``cpus``
-    items each.  With indivisible jobs the largest share sets the makespan,
-    so under fair time-slicing the processes finish after n / ``cpus`` runs
-    of equal items: 2.5 for 5 items on 2 CPUs, where 2 shares would take 3.
-    Child c computes share c for 0 < c < w, sends its results back pickled
-    over its own pipe (``_send``) and ends in ``os._exit``; this process
-    computes share 0, then reads every pipe to EOF.
+    def __init__(self) -> None:
+        self._pids: list[int] = []
+        self._open: list[int] = []  # every pipe end this process holds
+        sys.stdout.flush()  # else a child could inherit, and a parent lose, buffered output
+        sys.stderr.flush()
 
-    On any error or interrupt here every child is killed.  On every path
-    every pipe is closed and every child reaped before this returns or
-    raises.  A child's exception is then raised here with its type and
-    message; a child that sent nothing is named by its exit status.
+    def _pipe(self) -> tuple[int, int]:
+        ends = os.pipe()
+        self._open += ends
+        return ends
+
+    def _fork(self, work: Callable[..., None], *ends: int) -> None:
+        """Fork a worker that closes every other pipe end, runs
+        ``work(*ends)`` and ends in ``os._exit``, with status 0 only if
+        ``work`` returned.  Only the worker keeps ``ends``, so its exit is
+        the EOF of the pipes it writes."""
+        try:
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in self._open:
+                        if fd not in ends:
+                            os.close(fd)
+                    work(*ends)
+                    code = 0
+                finally:
+                    os._exit(code)
+            self._pids.append(pid)
+        finally:
+            for fd in ends:
+                self._open.remove(fd)
+                os.close(fd)
+
+    def _reap(self) -> list[int]:
+        """Close every pipe end, then wait for every worker: their exit
+        statuses, in the order they were forked."""
+        while self._open:
+            os.close(self._open.pop())
+        statuses = []
+        while self._pids:
+            statuses.append(os.waitpid(self._pids[0], 0)[1])
+            del self._pids[0]
+        return statuses
+
+    def close(self) -> None:
+        """Kill every worker, close every pipe end, reap every worker."""
+        try:
+            for pid in self._pids:
+                os.kill(pid, signal.SIGKILL)
+        finally:
+            self._reap()
+
+
+class ForkedMap(_Workers):
+    """``[fn(x) for x in items]`` in w strided shares ``items[c::w]``, one
+    per process: this process computes share 0 and passes its results to
+    ``collect``, and a worker forked here computes each other share.
+
+    w = ``shares`` is n while n < ``cpus``, otherwise the fewest shares with
+    at most n // ``cpus`` items each.  With indivisible jobs the largest
+    share sets the makespan, so under fair time-slicing the processes finish
+    after n / ``cpus`` runs of equal items: 2.5 for 5 items on 2 CPUs, where
+    2 shares would take 3.  Worker c sends ``(True, results)`` or
+    ``(False, exception)`` back pickled over its own pipe (``_send``).
     """
-    import pickle  # before any fork; see the module docstring
 
-    n = len(items)
-    w = n if n < cpus else -(-n // (n // cpus))
-    sys.stdout.flush()  # else a child could inherit, and a parent lose, buffered output
-    sys.stderr.flush()
-    pids: list[int] = []
-    read_ends: list[int] = []
-    try:
-        for c in range(1, w):
-            read_end, write_end = os.pipe()
-            read_ends.append(read_end)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        _send(write_end, fn, items[c::w])
-                        code = 0
-                    finally:
-                        os._exit(code)
-                pids.append(pid)
-            finally:
-                # Only the child keeps a write end: its exit is the pipe's EOF.
-                os.close(write_end)
-        mine = list(map(fn, items[::w]))
-        sent = [_read_to_eof(fd) for fd in read_ends]
-    except BaseException:
-        _kill(pids)
-        raise
-    finally:
-        for fd in read_ends:
-            os.close(fd)
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    results: list = [None] * n
-    results[::w] = mine
-    for c, (pid, data, status) in enumerate(zip(pids, sent, statuses), 1):
-        if status != 0 or not data:
-            code = os.waitstatus_to_exitcode(status)
-            ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
-            raise ChildProcessError(
-                f"worker process {pid} ended with {ended} before sending its results"
-            )
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        results[c::w] = value
-    return results
+    def __init__(self, fn: Callable, items: Sequence, cpus: int) -> None:
+        import pickle  # noqa: F401  before any fork; see the module docstring
 
+        super().__init__()
+        n = len(items)
+        self.shares = w = n if n < cpus else -(-n // (n // cpus))
+        self._n = n
+        try:
+            for c in range(1, w):
+                _, write_end = self._pipe()
+                self._fork(lambda fd, share=items[c::w]: _send(fd, fn, share), write_end)
+        except BaseException:
+            self.close()
+            raise
 
-def _kill(pids: Sequence[int]) -> None:
-    for pid in pids:
-        os.kill(pid, signal.SIGKILL)
+    def collect(self, mine: list) -> list:
+        """Every result in item order, ``mine`` being share 0's: reads every
+        pipe to EOF, then reaps every worker.  A worker's exception is then
+        raised here with its type and message; a worker that sent nothing
+        is named by its exit status.  On an error before the reaping, the
+        caller must still ``close``."""
+        import pickle
+
+        pids = list(self._pids)
+        sent = [_read_to_eof(fd) for fd in self._open]  # each worker's read end, in order
+        statuses = self._reap()
+        results: list = [None] * self._n
+        results[:: self.shares] = mine
+        for c, (pid, data, status) in enumerate(zip(pids, sent, statuses), 1):
+            if status != 0 or not data:
+                code = os.waitstatus_to_exitcode(status)
+                ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                raise ChildProcessError(
+                    f"worker process {pid} ended with {ended} before sending its results"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results[c :: self.shares] = value
+        return results
 
 
 def _send(fd: int, fn: Callable, share: Sequence) -> None:
-    """In a child: write ``(True, results)`` or ``(False, exception)``, pickled, to ``fd``."""
+    """In a worker: write ``(True, results)`` or ``(False, exception)``, pickled, to ``fd``."""
     import pickle
 
     try:
@@ -140,7 +182,7 @@ def _read_to_eof(fd: int) -> bytes:
 _RESULT = struct.Struct("d")
 
 
-class StreamedMap:
+class StreamedMap(_Workers):
     """``fn`` over a stream of vectors of ``width`` floats, computed by
     ``workers`` forked processes while the stream is still being produced.
 
@@ -162,58 +204,36 @@ class StreamedMap:
     """
 
     def __init__(self, fn: Callable, width: int, workers: int) -> None:
+        super().__init__()
         self._fn = fn
         self._vector = struct.Struct(f"{width}d")
         self._items: list = []
         self._results: list = []  # per vector: its value, or None until known
-        self._pids: list[int] = []
-        self._open: list[int] = []  # every pipe end this process holds
         self._to: list = []  # per worker: its vector pipe's write end, None once it broke
         self._unsent: list[bytearray] = []
         self._from: list = []  # per worker: its result pipe's read end, None at EOF
         self._partial: list[bytes] = []
         self._received: list[int] = []
-        sys.stdout.flush()  # else a child could inherit, and a parent lose, buffered output
-        sys.stderr.flush()
         try:
             for _ in range(workers):
-                self._start()
+                vectors, to_worker = self._pipe()
+                from_worker, results = self._pipe()
+                self._fork(lambda v, r: _serve(fn, self._vector, v, r), vectors, results)
+                os.set_blocking(to_worker, False)
+                os.set_blocking(from_worker, False)
+                self._to.append(to_worker)
+                self._unsent.append(bytearray())
+                self._from.append(from_worker)
+                self._partial.append(b"")
+                self._received.append(0)
         except BaseException:
             self.close()
             raise
 
-    def _start(self) -> None:
-        vectors, to_worker = os.pipe()
-        self._open += (vectors, to_worker)
-        from_worker, results = os.pipe()
-        self._open += (from_worker, results)
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                for fd in self._open:
-                    if fd not in (vectors, results):
-                        os.close(fd)
-                _serve(self._fn, self._vector, vectors, results)
-                code = 0
-            finally:
-                os._exit(code)
-        self._pids.append(pid)
-        for fd in (vectors, results):  # only the worker keeps these ends
-            self._open.remove(fd)
-            os.close(fd)
-        os.set_blocking(to_worker, False)
-        os.set_blocking(from_worker, False)
-        self._to.append(to_worker)
-        self._unsent.append(bytearray())
-        self._from.append(from_worker)
-        self._partial.append(b"")
-        self._received.append(0)
-
     def send(self, vector: Sequence[float]) -> None:
         """Stream the next vector to its worker, then write what fits of
         every worker's waiting vectors and read every result that has come."""
-        owner = len(self._items) % len(self._pids)
+        owner = len(self._items) % len(self._to)
         self._items.append(vector)
         self._results.append(None)
         if self._to[owner] is not None:
@@ -230,7 +250,7 @@ class StreamedMap:
 
     def _drain(self) -> None:
         # One read takes all a pipe holds: 64 KiB at most, unless resized.
-        w = len(self._pids)
+        w = len(self._from)
         for c, fd in enumerate(self._from):
             if fd is None:
                 continue
@@ -260,16 +280,6 @@ class StreamedMap:
                 if results[j] is None:
                     results[j] = self._fn(self._items[j])
         return results
-
-    def close(self) -> None:
-        """Kill every worker, close every pipe end, reap every worker."""
-        try:
-            _kill(self._pids)
-        finally:
-            while self._open:
-                os.close(self._open.pop())
-            while self._pids:
-                os.waitpid(self._pids.pop(), 0)
 
 
 def _serve(fn: Callable, vector: struct.Struct, vectors: int, results: int) -> None:

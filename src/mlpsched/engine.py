@@ -211,7 +211,9 @@ def run_simulation(
     ``observer``, if given, is called once per quantum, in order, with the
     quantum's record as soon as it is built, before the next quantum runs.
     The record is the one the report will hold, so the observer must not
-    mutate it; an exception it raises propagates out of the run.
+    mutate it; an exception it raises propagates out of the run.  A run
+    keeps all its state in locals, so the observer may start runs of its
+    own (a forked map's children do), and neither run changes the other.
     """
     policy = Policy(policy)
     if total_quanta < 1:

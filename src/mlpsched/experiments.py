@@ -12,12 +12,14 @@ identical workloads and seeds, and emit schema-stable tables:
 
 Independent runs (the policies of a batch, every (point, policy) run of a
 sweep) go to forked processes, in shares of at most max(1, runs // CPUs)
-runs each, once the first run has gone on long enough to pay for the
-forks: a timer stops that run, and the map forks and runs it again in its
-own share (``_forked_map``).  An oracle check scores each quantum while
-its run goes on, and once the decisions left are worth a fork it streams
-them to forked workers (``run_oracle_check``).  The results are the same
-whatever the CPU count; without ``os.fork`` everything runs in one process.
+runs each.  Both forking paths decide between quanta, with one rule
+(``_pays``): the map watches the quanta of its first run, and once the
+quanta left are worth a fork it forks the other shares from there, while
+that run goes on in the parent (``_forked_map``).  An oracle check scores
+each quantum while its run goes on, and once the decisions left are worth
+a fork it streams them to forked workers (``run_oracle_check``).  The
+results are the same whatever the CPU count; without ``os.fork``
+everything runs in one process.
 
 Data files never embed timestamps, so identical inputs give identical bytes.
 Floats are written in shortest round-trip form (``str``).  Summary metrics
@@ -389,18 +391,17 @@ def measure(report: SimulationReport, warmup_quanta: int = 0) -> PolicyMetrics:
 # Forking pays only when the work it moves off the parent is well above a
 # fork round trip: pipe, fork, pickle, read to EOF and waitpid took a median
 # 2.4-2.9 ms in-process on a 2-vCPU VM (BENCH_forked_map.json).  About ten
-# round trips; the tiny shipped configs stay below it.  A map applies it as a
-# timer deadline: a map of n items forks once its first item has run for
-# _FORK_WORTH_S / (n - 1), when the n - 1 items left, if they cost as much,
-# are known to hold at least _FORK_WORTH_S of work.  Item 0 is then stopped
-# and run again from the start, so a map that forks does that much work twice.
-# An oracle check applies it between quanta, to the mean decision time so
-# far times the quanta left, and repeats no work.
+# round trips; the tiny shipped configs stay below it.  Both forking callers
+# apply it between quanta (``_pays``): the map after each quantum of its
+# first item, the oracle check after each quantum it scores itself.
 _FORK_WORTH_S = 0.025
 
 
-class _Deadline(BaseException):
-    """Raised by the map's SIGALRM handler to stop item 0 at its deadline."""
+def _pays(seconds: float, done: int, left: int) -> bool:
+    """Whether ``left`` more steps, at the mean time per step of the ``done``
+    taken in ``seconds``, hold ``_FORK_WORTH_S`` of work; always when that
+    threshold is 0 or below."""
+    return _FORK_WORTH_S <= 0 or (done > 0 and seconds / done * left >= _FORK_WORTH_S)
 
 
 def _usable_cpus() -> int:
@@ -412,74 +413,65 @@ def _usable_cpus() -> int:
 
 def _can_fork() -> bool:
     """``os.fork`` exists and this process runs one thread: a child cannot
-    inherit a lock that another thread holds, and the map runs on the main
-    thread, the one that may set the timer's signal handler."""
+    inherit a lock that another thread holds."""
     threading = sys.modules.get("threading")
     return hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
 
 
-def _forked_map(fn: Callable, items: Sequence) -> list:
-    """``[fn(x) for x in items]``, in order, spread over forked processes.
+def _forked_map(fn: Callable, items: Sequence, steps: int) -> list:
+    """``[fn(x, None) for x in items]``, in order, spread over forked processes.
 
-    With n >= 2 items, at least two usable CPUs and ``_can_fork()``, the
-    parent arms a one-shot ``ITIMER_REAL`` and runs ``items[0]``.  If that
-    item ends within ``_FORK_WORTH_S / (n - 1)`` seconds, the parent runs
-    the rest itself.  Otherwise the timer's ``SIGALRM`` handler stops it by
-    raising ``_Deadline``, and the map hands every item, item 0 again from
-    the start, to ``_fork.map_in_children``: strided shares ``items[c::w]``,
-    one per process, with no more than max(1, n // CPUs) items each, the
-    parent keeping share 0.  A process that cannot own the timer, because
-    SIGALRM has a handler other than the default or an ``ITIMER_REAL`` is
-    armed, runs every item itself.
+    ``fn(x, observer)`` must pass ``observer`` on to ``run_simulation``, so
+    that it is called once per step (quantum); ``steps`` counts the steps of
+    all items together.  With n >= 2 items, at least two usable CPUs and
+    ``_can_fork()``, the parent runs ``items[0]`` with an observer that,
+    once ``_pays`` says the steps left are worth it, forks the other strided
+    shares ``items[c::w]`` to children (``_fork.ForkedMap``), with no more
+    than max(1, n // CPUs) items each, and returns; item 0 goes on in the
+    parent, which then computes the rest of share 0.  If item 0 ends first,
+    the parent runs the rest itself.  Every item runs once.
 
     ``fn`` must be deterministic in its item, so the results do not depend
-    on which process computes them; safe to stop part-way and run again;
-    and its results must pickle.  On any error or interrupt the children
-    are killed, every pipe closed and every child reaped before this raises.
+    on which process computes them; safe to call from inside its own
+    observer, where the children run their shares; and its results must
+    pickle.  On any error or interrupt the children are killed, every pipe
+    closed and every child reaped before this raises.
     """
     cpus = _usable_cpus()
     if len(items) < 2 or cpus < 2 or not _can_fork():
-        return list(map(fn, items))
-    if _FORK_WORTH_S > 0:
-        import signal  # imported only by a map that may fork
+        return [fn(x, None) for x in items]
+    forked = None
+    done = 0
+    started = perf_counter()
 
-        if signal.getsignal(signal.SIGALRM) is not signal.SIG_DFL or any(
-            signal.getitimer(signal.ITIMER_REAL)
-        ):
-            return list(map(fn, items))
-        running = True
+    def observer(_record) -> None:
+        nonlocal forked, done
+        done += 1
+        if forked is None and _pays(perf_counter() - started, done, steps - done):
+            from ._fork import ForkedMap  # compiled and imported only by a map that forks
 
-        def stop(*_) -> None:
-            if running:
-                raise _Deadline
+            forked = ForkedMap(lambda x: fn(x, None), items, cpus)
 
-        previous = signal.signal(signal.SIGALRM, stop)
-        try:
-            try:
-                try:
-                    signal.setitimer(signal.ITIMER_REAL, _FORK_WORTH_S / (len(items) - 1))
-                    first = fn(items[0])
-                finally:
-                    running = False  # a SIGALRM delivered from here on stops nothing
-            finally:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-                signal.signal(signal.SIGALRM, previous)
-        except _Deadline:
-            pass
-        else:
-            return [first, *map(fn, items[1:])]
-    from ._fork import map_in_children  # compiled and imported only by a map that forks
-
-    return map_in_children(fn, items, cpus)
+    try:
+        first = fn(items[0], observer)
+        if forked is None:
+            return [first, *(fn(x, None) for x in items[1:])]
+        w = forked.shares
+        return forked.collect([first, *(fn(x, None) for x in items[w::w])])
+    except BaseException:
+        if forked is not None:
+            forked.close()
+        raise
 
 
 def run_policies(config: ExperimentConfig) -> list[SimulationReport]:
     """Run every listed policy on identical workloads and seed."""
     return _forked_map(
-        lambda policy: run_simulation(
-            config.system, config.workloads, policy, config.seed, config.quanta
+        lambda policy, observer: run_simulation(
+            config.system, config.workloads, policy, config.seed, config.quanta, observer
         ),
         config.policies,
+        config.quanta * len(config.policies),
     )
 
 
@@ -593,13 +585,13 @@ def run_sweep(config: ExperimentConfig) -> tuple[tuple[str, ...], list[tuple]]:
             raise ConfigError(f"sweep point ({label}): {exc}") from exc
         points.append((point, point_config))
 
-    def measured(run: tuple[dict, ExperimentConfig, Policy]) -> PolicyMetrics:
+    def measured(run: tuple[dict, ExperimentConfig, Policy], observer) -> PolicyMetrics:
         _, c, policy = run
-        report = run_simulation(c.system, c.workloads, policy, c.seed, c.quanta)
+        report = run_simulation(c.system, c.workloads, policy, c.seed, c.quanta, observer)
         return measure(report, config.warmup_quanta)
 
     runs = [(point, c, policy) for point, c in points for policy in c.policies]
-    metrics = _forked_map(measured, runs)
+    metrics = _forked_map(measured, runs, sum(c.quanta for _, c, _ in runs))
     return header, [
         tuple(point[k] for k in keys)
         + (m.policy.value, m.throughput, m.total_stalls, m.mean_gap, m.mean_oversubscription)
@@ -651,8 +643,7 @@ def run_oracle_check(config: ExperimentConfig) -> OracleCheck:
         mlp = rec.sampled_mlp
         if streamed is None:
             left = quanta - rec.index
-            pays = _FORK_WORTH_S <= 0 or (optima and spent / len(optima) * left >= _FORK_WORTH_S)
-            if cpus < 2 or left < 2 or not pays:
+            if cpus < 2 or left < 2 or not _pays(spent, len(optima), left):
                 started = perf_counter()
                 optima.append(optimum(mlp))
                 spent += perf_counter() - started

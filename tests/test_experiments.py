@@ -562,11 +562,29 @@ def test_repo_configs_parse_and_pad():
 
 
 def forking(monkeypatch, cpus=2, worth=0.0):
-    """Make ``_forked_map`` see ``cpus`` CPUs and fork once item 0 has run
-    ``worth / (n - 1)`` seconds, running item 0 again after the fork; by
-    default it forks without a first run of item 0."""
+    """Make ``_forked_map`` and the oracle check see ``cpus`` CPUs and fork
+    once ``worth`` seconds of work are projected; by default a map forks at
+    item 0's first quantum boundary, and an oracle check before it scores
+    quantum 0."""
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(experiments, "_FORK_WORTH_S", worth)
+
+
+def one_step(fn):
+    """``fn`` as a map item of one quantum: the observer, if any, is called
+    before ``fn`` runs, as ``run_simulation`` calls it after a quantum."""
+
+    def item(x, observer):
+        if observer is not None:
+            observer(None)
+        return fn(x)
+
+    return item
+
+
+def forked_map(fn, items):
+    """``_forked_map`` over items of one quantum each."""
+    return experiments._forked_map(one_step(fn), items, len(items))
 
 
 FDS = Path("/proc/self/fd")
@@ -610,40 +628,47 @@ def test_cli_outputs_are_the_same_bytes_serial_and_forked(
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     forked_map = experiments._forked_map
-    timed = []  # per map of 2+ items: (deadline, item 0's runs to the end, forked)
+    maps = []  # per map of 2+ items, per run of its item 0: per quantum, whether it had forked
 
-    def watched_map(fn, items):
+    def watched_map(fn, items, steps):
         runs = []
-
-        def indexed(i):
-            if i:
-                return fn(items[i])
-            started = time.perf_counter()
-            result = fn(items[0])
-            runs.append(time.perf_counter() - started)
-            return result
-
         before = len(forks)
-        results = forked_map(indexed, list(range(len(items))))
+
+        def indexed(i, observer):
+            if i:
+                return fn(items[i], observer)
+            forked = []
+            runs.append(forked)
+
+            def watched(record):
+                observer(record)
+                forked.append(len(forks) > before)
+
+            return fn(items[0], None if observer is None else watched)
+
         if len(items) >= 2:
-            timed.append((experiments._FORK_WORTH_S / (len(items) - 1), runs, len(forks) > before))
-        return results
+            maps.append(runs)
+        return forked_map(indexed, list(range(len(items))), steps)
 
     monkeypatch.setattr(experiments, "_forked_map", watched_map)
-    given, forks_made = [], []
-    # serial; forking before item 0 (oracle-check: before quantum 0);
-    # forking once item 0 outlasts 0.1 ms / (n - 1); 3 CPUs, forking at once
-    settings = ((1, experiments._FORK_WORTH_S), (2, 0.0), (2, 0.0001), (3, 0.0))
-    for cpus, worth in settings:
+    pays = experiments._pays
+    given, forks_made, mapped = [], [], []
+    # serial; forking at item 0's first quantum boundary (oracle-check:
+    # before quantum 0); forking at its third boundary (oracle-check: after
+    # three quanta), mid-item; 3 CPUs, forking at once
+    mid_item = lambda seconds, done, left: done >= 3  # noqa: E731
+    settings = ((1, pays), (2, lambda *_: True), (2, mid_item), (3, lambda *_: True))
+    for cpus, rule in settings:
         monkeypatch.setattr(experiments, "_usable_cpus", lambda n=cpus: n)
-        monkeypatch.setattr(experiments, "_FORK_WORTH_S", worth)
+        monkeypatch.setattr(experiments, "_pays", rule)
         shutil.rmtree(out, ignore_errors=True)
         forks.clear()
-        timed.clear()
+        maps.clear()
         code = main(argv)
         written = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
         given.append((code, capsys.readouterr(), written))
         forks_made.append(len(forks))
+        mapped.append(list(maps))
     assert given[0] == given[1] == given[2] == given[3]
     # the serial run never forks; the second forks wherever a map has two items
     several = command in ("sweep", "oracle-check") or len(load_experiment(argv[2]).policies) > 1
@@ -652,16 +677,20 @@ def test_cli_outputs_are_the_same_bytes_serial_and_forked(
     # oracle-check on 3 CPUs streams its quanta to two workers' strided shares
     if command == "oracle-check" and given[3][0] == 0:
         assert forks_made[3] == 2
-    # the third forks every map whose item 0 ran past its deadline, allowing
-    # 1 ms for the timer's signal to arrive
-    for deadline, runs, forked in timed:
-        assert forked or runs[0] <= deadline + 0.001
+    # item 0 runs once in every map, in the parent; the forking settings fork
+    # at the boundary they name, the mid-item one with item 0's quanta left
+    for i, first in ((1, 0), (2, 2), (3, 0)):
+        for runs in mapped[i]:
+            assert len(runs) == 1
+            assert runs[0] == [q >= first for q in range(len(runs[0]))]
+            assert len(runs[0]) > first + 1 or i != 2
+    assert all(len(runs) == 1 for runs in mapped[0])
 
 
 def test_forked_map_keeps_item_order_across_processes(monkeypatch):
     forking(monkeypatch, cpus=3)
     with leaves_nothing_behind():
-        results = experiments._forked_map(lambda x: (x * x, os.getpid()), list(range(10)))
+        results = forked_map(lambda x: (x * x, os.getpid()), list(range(10)))
     assert [square for square, _ in results] == [x * x for x in range(10)]
     # 10 items on 3 CPUs: 4 shares of at most 3 items each
     assert len({pid for _, pid in results}) == 4
@@ -673,7 +702,7 @@ def test_forked_map_keeps_item_order_across_processes(monkeypatch):
 def test_forked_map_shares_hold_at_most_n_over_cpus_items(monkeypatch, n, cpus, processes, most):
     forking(monkeypatch, cpus=cpus)
     with leaves_nothing_behind():
-        pids = experiments._forked_map(lambda x: os.getpid(), list(range(n)))
+        pids = forked_map(lambda x: os.getpid(), list(range(n)))
     per_process = collections.Counter(pids)
     assert len(per_process) == processes
     assert max(per_process.values()) == most
@@ -681,11 +710,10 @@ def test_forked_map_shares_hold_at_most_n_over_cpus_items(monkeypatch, n, cpus, 
 
 
 def test_children_start_while_item_0_still_runs(monkeypatch, tmp_path):
-    # Item 0 waits for item 1's process to start.  The timer stops item 0
-    # 1 ms in, and the map forks and runs item 0 again; a map that forked
-    # only once item 0 had ended would wait 20 s and then run item 1 too
-    # late for item 0 to see it.
-    forking(monkeypatch, worth=0.001)
+    # Item 0 waits for item 1's process to start.  The map forks at item
+    # 0's first quantum boundary; a map that forked only once item 0 had
+    # ended would wait 20 s and then run item 1 too late for item 0 to see it.
+    forking(monkeypatch)
     marker = tmp_path / "item 1 started"
 
     def fn(x):
@@ -695,44 +723,51 @@ def test_children_start_while_item_0_still_runs(monkeypatch, tmp_path):
         return wait_for(marker)
 
     with leaves_nothing_behind():
-        saw, pid = experiments._forked_map(fn, [0, 1])
+        saw, pid = forked_map(fn, [0, 1])
     assert saw
     assert pid != os.getpid()
 
 
-def test_item_0_stopped_at_its_deadline_starts_again_after_the_fork(monkeypatch, tmp_path):
-    # Item 0 waits for a child's marker; the timer stops it 0.5 ms in, so
-    # it starts once before the fork and once after, in the parent's share.
+def test_forked_map_runs_item_0_once_and_forks_while_it_has_quanta_left(monkeypatch, tmp_path):
+    # Item 0 runs 10 quanta of about 1 ms and items 1 and 2 one each, so
+    # after its first quantum about 11 ms of work are projected, past the
+    # 1 ms threshold.  At its fifth quantum item 0 waits for a child's
+    # marker, which only a child forked before that quantum can leave.
     forking(monkeypatch, worth=0.001)
     parent = os.getpid()
     marker = tmp_path / "a child ran"
     starts = []
+    saw = []
 
-    def fn(x):
+    def fn(x, observer):
         if os.getpid() != parent:
             marker.touch()
         elif x == 0:
             starts.append(x)
-            wait_for(marker)
+            for quantum in range(10):
+                time.sleep(0.001)
+                observer(None)
+                if quantum == 4:
+                    saw.append(wait_for(marker))
         return x * x
 
     with leaves_nothing_behind():
-        results = experiments._forked_map(fn, [0, 1, 2])
-    assert starts == [0, 0]
+        results = experiments._forked_map(fn, [0, 1, 2], 12)
+    assert starts == [0]
+    assert saw == [True]
     assert results == [0, 1, 4]
 
 
-# 1000 s arms a timer that item 0 ends long before
+# 1000 s of work is never projected
 @pytest.mark.parametrize("cpus, worth", [(1, 0.0), (2, 1000.0)])
 def test_forked_map_stays_in_process_without_two_cpus_or_enough_work(
     monkeypatch, cpus, worth
 ):
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(experiments, "_FORK_WORTH_S", worth)
+    forking(monkeypatch, cpus=cpus, worth=worth)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     with leaves_nothing_behind():
-        assert experiments._forked_map(lambda x: -x, [3, 1, 2]) == [-3, -1, -2]
-        assert experiments._forked_map(lambda x: -x, []) == []
+        assert forked_map(lambda x: -x, [3, 1, 2]) == [-3, -1, -2]
+        assert forked_map(lambda x: -x, []) == []
 
 
 def in_a_thread(call):
@@ -744,40 +779,59 @@ def in_a_thread(call):
     return results[0]
 
 
-@pytest.mark.parametrize("owner", ["caller's timer", "caller's handler", "another thread"])
-def test_forked_map_stays_in_process_where_it_cannot_own_the_timer(monkeypatch, owner):
-    # item 0 runs 20 times its 0.5 ms deadline, so an owned timer would fork
-    forking(monkeypatch, worth=0.001)
+def test_forked_map_stays_in_process_while_another_thread_runs(monkeypatch):
+    forking(monkeypatch)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    with leaves_nothing_behind():
+        assert in_a_thread(lambda: forked_map(lambda x: -x, [3, 1, 2])) == [-3, -1, -2]
 
-    def fn(x):
-        if x == 3:
-            time.sleep(0.01)
-        return -x
 
-    call = lambda: experiments._forked_map(fn, [3, 1, 2])  # noqa: E731
-    if owner == "another thread":
-        with leaves_nothing_behind():
-            assert in_a_thread(call) == [-3, -1, -2]
-    elif owner == "caller's handler":
-        previous = signal.signal(signal.SIGALRM, lambda *_: None)
-        try:
-            with leaves_nothing_behind():
-                assert call() == [-3, -1, -2]
-        finally:
-            signal.signal(signal.SIGALRM, previous)
-    else:
-        # SIGALRM's default action ends the process, so the timer is long
-        # and disarmed whatever happens
-        signal.setitimer(signal.ITIMER_REAL, 1000)
-        try:
-            assert call() == [-3, -1, -2]
-            left, interval = signal.getitimer(signal.ITIMER_REAL)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-        assert 990 < left <= 1000
-        assert interval == 0
-        assert signal.getsignal(signal.SIGALRM) is signal.SIG_DFL
+@pytest.mark.parametrize("owner", ["caller's timer", "caller's handler"])
+def test_forked_map_forks_and_keeps_a_callers_alarm(monkeypatch, owner):
+    forking(monkeypatch)
+    handler = lambda *_: None  # noqa: E731
+    call = lambda: forked_map(lambda x: (-x, os.getpid()), [3, 1, 2])  # noqa: E731
+    with leaves_nothing_behind():
+        if owner == "caller's handler":
+            previous = signal.signal(signal.SIGALRM, handler)
+            try:
+                results = call()
+                assert signal.getsignal(signal.SIGALRM) is handler
+            finally:
+                signal.signal(signal.SIGALRM, previous)
+        else:
+            # SIGALRM's default action ends the process, so the timer is
+            # long and disarmed whatever happens
+            signal.setitimer(signal.ITIMER_REAL, 1000)
+            try:
+                results = call()
+                left, interval = signal.getitimer(signal.ITIMER_REAL)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            assert 990 < left <= 1000
+            assert interval == 0
+            assert signal.getsignal(signal.SIGALRM) is signal.SIG_DFL
+    assert [value for value, _ in results] == [-3, -1, -2]
+    # 3 items on 2 CPUs: 3 shares of one item each
+    assert len({pid for _, pid in results}) == 3
+
+
+def test_child_run_inside_another_runs_observer_matches_a_fresh_run():
+    config = load_experiment(str(CONFIGS / "demo.json"))
+    system, workloads, seed, quanta = config.system, config.workloads, config.seed, config.quanta
+    policies = list(Policy)
+    fresh = {p: run_simulation(system, workloads, p, seed, quanta) for p in policies}
+    inner = []
+
+    def observer(record):
+        policy = policies[record.index % len(policies)]
+        inner.append((policy, run_simulation(system, workloads, policy, seed, quanta)))
+
+    outer = run_simulation(system, workloads, Policy.RANDOM, seed, quanta, observer)
+    assert outer == fresh[Policy.RANDOM]
+    assert len(inner) == quanta
+    for policy, report in inner:
+        assert report == fresh[policy]
 
 
 def test_child_exception_reaches_the_parent_with_its_type_and_message(monkeypatch):
@@ -793,7 +847,7 @@ def test_child_exception_reaches_the_parent_with_its_type_and_message(monkeypatc
     # first child's error is raised
     with leaves_nothing_behind():
         with pytest.raises(ConfigError, match=r"^item 1 failed in a child$"):
-            experiments._forked_map(fn, [0, 1, 2])
+            forked_map(fn, [0, 1, 2])
 
 
 class Unpicklable(Exception):
@@ -816,7 +870,7 @@ def test_child_exception_that_does_not_pickle_reaches_the_parent_by_type_and_mes
 
     with leaves_nothing_behind():
         with pytest.raises(RuntimeError, match=r"^Unpicklable: bad 1$"):
-            experiments._forked_map(fn, [0, 1, 2])
+            forked_map(fn, [0, 1, 2])
 
 
 def closure(x):
@@ -836,7 +890,7 @@ def test_child_result_that_does_not_pickle_reaches_the_parent_as_the_pickling_er
 
     with leaves_nothing_behind():
         with pytest.raises(type(expected.value)) as err:
-            experiments._forked_map(fn, [0, 1])
+            forked_map(fn, [0, 1])
     assert str(err.value) == str(expected.value)
 
 
@@ -851,7 +905,7 @@ def test_child_that_exits_without_results_names_its_exit_status(monkeypatch):
 
     with leaves_nothing_behind():
         with pytest.raises(ChildProcessError, match="exit status 3"):
-            experiments._forked_map(fn, [0, 1, 2])
+            forked_map(fn, [0, 1, 2])
 
 
 def test_interrupt_in_the_parent_ends_and_reaps_a_busy_child(monkeypatch):
@@ -869,12 +923,12 @@ def test_interrupt_in_the_parent_ends_and_reaps_a_busy_child(monkeypatch):
     start = time.perf_counter()
     with leaves_nothing_behind():
         with pytest.raises(KeyboardInterrupt):
-            experiments._forked_map(fn, [0, 1, 2, 3])
+            forked_map(fn, [0, 1, 2, 3])
     assert time.perf_counter() - start < 30
 
 
 def test_interrupt_in_item_0_after_the_fork_ends_and_reaps_busy_children(monkeypatch, tmp_path):
-    forking(monkeypatch, worth=0.001)
+    forking(monkeypatch)
     parent = os.getpid()
     marker = tmp_path / "a child started"
 
@@ -889,7 +943,7 @@ def test_interrupt_in_item_0_after_the_fork_ends_and_reaps_busy_children(monkeyp
     start = time.perf_counter()
     with leaves_nothing_behind():
         with pytest.raises(KeyboardInterrupt):
-            experiments._forked_map(fn, [0, 1, 2])
+            forked_map(fn, [0, 1, 2])
     assert time.perf_counter() - start < 30
 
 
