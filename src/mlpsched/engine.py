@@ -22,8 +22,9 @@ The model is defined cycle by cycle.  Each cycle applies, in this order:
 The engine does not step every cycle (next-event time advance; Law and
 Kelton, *Simulation Modeling and Analysis*, ch. 1), and at an event it
 steps only the processors the event touches, and it skips whole repeats of
-a processor that settled into a cycle.  Four rules keep the result equal to
-stepping every processor on every cycle.
+a processor that settled into a cycle or whose pool holds its residents'
+whole demand.  Five rules, numbered in the order below, keep the result
+equal to stepping every processor on every cycle.
 
 *Occupancy is read, not accumulated.*  A request issued at cycle i is
 outstanding at the end of cycles i .. i + latency - 1, so by cycle C it has
@@ -36,6 +37,9 @@ ends of a quantum's two spans: the window start and the quantum boundary
 (the windowed sum a quantum samples is the growth in between).  Both reads
 count only the quantum's own retires, an offset the growth cancels.  The
 whole-run integrals, the threads' and the pools', are read once, at the end.
+A pool's issued requests are counted at each boundary: within a quantum a
+thread issues only on its own pool, so it adds its retires there plus the
+growth of its requests in flight.
 
 *Events.*  Retire and issue run only at event cycles, the earliest of: an
 in-flight group's completion, some thread's cap change (a step end, or a
@@ -80,18 +84,38 @@ and the start slot: the residents' outstanding counts are their requests in
 those groups, and the threads a round leaves wanting follow from those
 counts and the fixed caps.  After such a round at cycle c, with the horizon
 more than 2P away, the engine records the groups (as completion - c) and the
-counters the processor drives: its residents' completed and stalls and its
-pool's issued requests.  If its round at c + P finds the same groups, every
-later period before the horizon repeats that one exactly, since the start
-slot repeats too (P is a multiple of L).  The engine then jumps ``times``
->= 1 periods at once, to the last period end strictly before the horizon
-and before the end of the current span.  A quantum runs as two spans, up to
-the window start and up to the boundary, and each span end is where the
-engine reads every thread's true occupancy.  A jump adds ``times`` copies of
-each counter's growth over the period and moves the processor's groups and
-the cycle of its last round ``times`` x P later.  It lands on the recorded
-state, so the record stands while the horizon is more than 2P away: a jump
-the window start stopped goes on one period after it.
+counters the processor drives: its residents' completed and stalls.  If its
+round at c + P finds the same groups, every later period before the horizon
+repeats that one exactly, since the start slot repeats too (P is a multiple
+of L).  The engine then jumps ``times`` >= 1 periods at once, to the last
+period end strictly before the horizon and before the end of the current
+span.  A quantum runs as two spans, up to the window start and up to the
+boundary, and each span end is where the engine reads every thread's true
+occupancy.  A jump adds ``times`` copies of each counter's growth over the
+period and moves the processor's groups and the cycle of its last round
+``times`` x P later.  It lands on the recorded state, so the record stands
+while the horizon is more than 2P away: a jump the window start stopped
+goes on one period after it.
+
+*Fitted pools.*  Once the quantum's first ``latency`` cycles are over, let
+a processor's round leave every resident exactly at its cap: no shortfall
+anywhere.  A round that merely leaves nobody wanting is not enough, since a
+resident whose cap fell below its outstanding requests wants nothing and
+yet takes back none of the MSHRs its retires free.  With all shortfalls 0,
+when a group retires the MSHRs it frees cover exactly the requests it held,
+and each of those leaves its thread one short, so the next round grants
+them all: the group is re-issued whole, one latency on, and every resident
+is at its cap again, with nobody wanting.  The drain is over, so the pool
+holds only its residents' requests, and nothing else touches the processor
+before its horizon (rule 3).  So until the earlier of the horizon and the
+span end, call it ``end``, each retire only re-issues its group.  The
+engine moves each group completing at c < end to its first completion at
+or after ``end``, ceil((end - c) / latency) re-issues later, and credits
+its threads with that many retires.  The processor's groups and its
+residents' counts then equal stepping's at ``end``.  No record, verifying
+period or 2P gap is needed, so this also serves quanta too short for the
+fast-forward.  A rule that lets a jump cross step ends a saturated pool
+cannot see (proposed in ``ROADMAP.md``) would be rule 6.
 
 Everything is integer arithmetic over plain lists, so a run is bitwise
 deterministic in (config, workloads, policy, seed, total_quanta).  The
@@ -185,9 +209,30 @@ def _occupancy(now, latency, retired, cap, short, groups) -> list[int]:
     occ = [latency * (r + c - s) for r, c, s in zip(retired, cap, short)]
     for completion, _, threads in groups:
         ahead = completion - now
-        for t in threads:
-            occ[t] -= ahead
+        if ahead > 0:  # a group that retired, or retires now, lacks nothing
+            for t in threads:
+                occ[t] -= ahead
     return occ
+
+
+def _move_later(held, parked, completions) -> None:
+    """Move one pool's in-flight groups, ``held`` in completion order, to
+    the given completion cycles, none earlier than its own.
+
+    A group that moves joins ``parked``, kept sorted, as a new entry, and
+    its old entry, still queued, is voided (threads None).  So a move does
+    one binary-search insert per group and visits no other pool's groups.
+    """
+    groups = []
+    for group, completion in zip(held, completions):
+        if completion != group[0]:
+            _, p, threads = group
+            group[2] = None
+            group = [completion, p, threads]
+            insort(parked, group)
+        groups.append(group)
+    held.clear()
+    held.extend(sorted(groups))
 
 
 def run_simulation(
@@ -229,17 +274,27 @@ def run_simulation(
     window = config.window_cycles
     penalty = config.migration_penalty
 
-    # In-flight requests as (completion, processor, threads) groups, one per
-    # processor and issue cycle, listing one thread id per request.  All
-    # pools share one latency, so issue order is completion order and one
-    # FIFO serves every pool.  A migrated thread's in-flight requests keep
-    # the old pool's MSHRs until they retire.  Groups a fast-forward moved
-    # later wait in ``parked``, sorted by completion, and join the FIFO's
-    # head when they come due.
+    # In-flight requests as [completion, processor, threads] groups, one per
+    # processor and issue cycle, listing one thread id per request.  A
+    # migrated thread's in-flight requests keep the old pool's MSHRs until
+    # they retire.  held[p] keeps pool p's latest groups in completion order.
+    # In flight, a pool has at most one group per completion cycle within one
+    # latency, each of one MSHR or more, so the last min(M, latency) groups
+    # hold them all; readers drop the retired ones at the head.
+    # The same groups queue for retirement: all pools share one latency, so
+    # issue order is completion order and one FIFO serves every pool.
+    # Groups a jump moved later wait in ``parked``, sorted by completion, and
+    # join the FIFO's head when they come due; the entry a moved group
+    # leaves behind has threads None.
+    held = [deque(maxlen=min(mshrs, latency)) for _ in range(k)]
     inflight = deque()
     parked = []
     used = [0] * k  # MSHRs held, per pool
-    pool_issued = [0] * k  # requests ever issued, per pool
+    # Requests ever issued, per pool, counted at each boundary from each
+    # thread's retires and the growth of its requests in flight over the
+    # ``carried`` into the quantum.
+    pool_issued = [0] * k
+    carried = [0] * n
     owners = [[-1] * l for _ in range(k)]  # [processor][slot] -> thread
     # Each thread's phases as an endless iterator of (duration, demand) steps,
     # consecutive phases of one demand merged into one step: a repeating
@@ -322,6 +377,8 @@ def run_simulation(
                     inflight.appendleft(parked.pop(0))
                 while inflight and inflight[0][0] == cycle:
                     _, p, threads = inflight.popleft()
+                    if threads is None:
+                        continue
                     used[p] -= len(threads)
                     for t in threads:
                         short[t] += 1
@@ -363,12 +420,22 @@ def run_simulation(
                         wanting = left
                     stalled[p] = left
                     if granted:
-                        inflight.append((completion, p, granted))
+                        group = [completion, p, granted]
+                        inflight.append(group)
+                        held[p].append(group)
                         used[p] += len(granted)
-                        pool_issued[p] += len(granted)
-                    if cycle - checked[p] < period:
-                        continue
+                    # Rule 5 holds once the drain is over and every resident
+                    # is at its cap; rule 4 checks once a period.
+                    if left or cycle < drain_end or any(map(short.__getitem__, owners[p])):
+                        if cycle - checked[p] < period:
+                            continue
+                        fitted = False
+                    else:
+                        fitted = True
                     residents = owners[p]
+                    groups = held[p]
+                    while groups and groups[0][0] <= cycle:
+                        groups.popleft()
                     horizon = min(
                         boundary,
                         *[next_end[t] if frozen[t] <= cycle else frozen[t] for t in residents],
@@ -376,6 +443,19 @@ def run_simulation(
                     # A jump stops short of the horizon and of the span end,
                     # whose read needs every thread's true occupancy.
                     end = horizon if horizon < span_end else span_end
+                    if fitted:
+                        # Rule 5: each group is re-issued whole at every
+                        # retire before the end.
+                        later = []
+                        for c, _, threads in groups:
+                            if c < end:
+                                times = (end - c - 1) // latency + 1
+                                for t in threads:
+                                    completed[t] += times
+                                c += times * latency
+                            later.append(c)
+                        _move_later(groups, parked, later)
+                        continue
                     record = settled[p] if cycle - checked[p] == period else None
                     if not record and end - cycle <= 2 * period:
                         # No jump can start before the end, so the next check
@@ -383,9 +463,8 @@ def run_simulation(
                         checked[p] = end - period
                         settled[p] = None
                         continue
-                    mine = [(c - cycle, g) for c, owner, g in inflight if owner == p]
+                    mine = [(c - cycle, g) for c, _, g in groups]
                     counters = [completed[t] for t in residents] + [stalls[t] for t in residents]
-                    counters.append(pool_issued[p])
                     at = cycle
                     times = (end - cycle - 1) // period
                     if times and record and record[0] == mine:
@@ -393,13 +472,8 @@ def run_simulation(
                         for t, done, stalled_for in zip(residents, counters, counters[l:]):
                             completed[t] = done
                             stalls[t] = stalled_for
-                        pool_issued[p] = counters[-1]
                         at = since[p] = cycle + times * period
-                        parked += [(at + ahead, p, g) for ahead, g in mine]
-                        parked.sort()
-                        kept = [group for group in inflight if group[1] != p]
-                        inflight.clear()
-                        inflight.extend(kept)
+                        _move_later(groups, parked, [at + ahead for ahead, _ in mine])
                     checked[p] = at
                     # Keep the record while the check one period on has room
                     # to jump before the horizon; if the window start leaves
@@ -415,7 +489,9 @@ def run_simulation(
                 if parked and parked[0][0] < next_event:
                     next_event = parked[0][0]
                 cycle = next_event
-            reads.append(_occupancy(cycle, latency, completed, cap, short, chain(inflight, parked)))
+            reads.append(
+                _occupancy(cycle, latency, completed, cap, short, chain.from_iterable(held))
+            )
         window_base, occ = reads
 
         for p, wanting in enumerate(stalled):
@@ -423,6 +499,9 @@ def run_simulation(
             for t in wanting:
                 stalls[t] += gap
         since = [boundary] * k
+        for t, p in enumerate(where):
+            pool_issued[p] += completed[t] + cap[t] - short[t] - carried[t]
+        carried = [c - s for c, s in zip(cap, short)]
         mlp = tuple((a - b) / window for a, b in zip(occ, window_base))
         chosen = next_schedule(policy, mlp, config, schedule, quantum_seed(seed, q))
         records.append(
@@ -448,8 +527,9 @@ def run_simulation(
 
     cycles = total_quanta * q_len
     pool_total = [latency * issued for issued in pool_issued]
-    for completion, p, threads in chain(inflight, parked):
-        pool_total[p] -= (completion - cycles) * len(threads)
+    for completion, p, threads in chain.from_iterable(held):
+        if completion > cycles:
+            pool_total[p] -= (completion - cycles) * len(threads)
     completed = [sum(counts) for counts in zip(*[r.completed for r in records])]
     stalls = [sum(counts) for counts in zip(*[r.stalls for r in records])]
     total_completed = sum(completed)
@@ -459,7 +539,7 @@ def run_simulation(
         stall_cycles_per_thread=tuple(stalls),
         stall_cycles=sum(stalls),
         occupancy_integral=tuple(
-            _occupancy(cycles, latency, completed, cap, short, chain(inflight, parked))
+            _occupancy(cycles, latency, completed, cap, short, chain.from_iterable(held))
         ),
         mean_processor_occupancy=tuple(pt / cycles for pt in pool_total),
         cycles=cycles,

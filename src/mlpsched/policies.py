@@ -17,7 +17,7 @@ The rest are baselines and an oracle:
   to judge how close serpentine gets to the best achievable balance.  Its
   rule: group sums formed as ``processor_load`` forms them, then the least
   largest sum, then the lexicographically smallest key.  A memoised search
-  over thread subsets finds it in about 1 ms at 4x3.
+  over thread subsets finds it in about 0.4 ms at 4x3.
 
 The policies that read counters (serpentine, naive_sorted, optimal) refuse a
 vector of the wrong length or with a value that is not finite and
@@ -32,6 +32,7 @@ import itertools
 import math
 import random
 from enum import Enum
+from functools import cache
 from typing import Sequence
 
 from .core import ConfigError, Schedule, SystemConfig, _slots, validate_schedule
@@ -161,6 +162,18 @@ def static_schedule(config: SystemConfig, prev: Schedule) -> Schedule:
     return prev
 
 
+@cache
+def _group_table(n: int, l: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    """Every L-thread group of N threads as (members, bitmask), filed by its
+    lowest thread; combinations() yields groups in ascending lexicographic
+    order, so each row is in that order too.  Built on first use and kept,
+    as tuples, for every later decision on the same shape."""
+    rows: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
+    for group in itertools.combinations(range(n), l):
+        rows[group[0]].append((group, sum(1 << t for t in group)))
+    return tuple(map(tuple, rows))
+
+
 def optimal_partition(mlp: Sequence[float], config: SystemConfig) -> Schedule:
     """Exact minimum-makespan oracle over equal-size thread groups.
 
@@ -175,14 +188,15 @@ def optimal_partition(mlp: Sequence[float], config: SystemConfig) -> Schedule:
     The search is memoised over thread subsets held as bitmasks.
     ``best[rem]`` is the least largest group sum over the splits of the
     threads in ``rem``: the minimum, over the groups holding ``rem``'s lowest
-    thread, of the larger of that group's sum and ``best`` of the rest.  A
-    group whose own sum already reaches the running minimum is skipped.
+    thread, of the larger of that group's sum and ``best`` of the rest.  The
+    search walks those groups lightest first and stops at the first whose
+    own sum reaches the running minimum, since no later group can beat it.
     Sums are only ever added, never taken back, so every comparison is
     between the exact values ``processor_load`` reports.  The split is then
     rebuilt from the lowest thread up, taking at each step the first group in
     ascending order that still completes within the optimum, which yields the
     smallest key among all ties.  At 4x3 (220 groups, 15,400 splits) a
-    decision takes about 1 ms on a 2-vCPU Xeon VM.
+    decision takes about 0.4 ms on a 2-vCPU Xeon VM.
 
     Raises if the counters fail the policy check, or ``ConfigError`` if N
     exceeds ``MAX_EXHAUSTIVE_THREADS``.
@@ -190,28 +204,34 @@ def optimal_partition(mlp: Sequence[float], config: SystemConfig) -> Schedule:
     _check_counters(mlp, config)
     _check_oracle_cap(config)
     n, l = config.num_threads, config.slots_per_processor
+    table = _group_table(n, l)
 
-    # Every L-thread group as (members, bitmask, sum), filed by its lowest
-    # thread.  combinations() yields groups in ascending lexicographic order,
-    # so each list is in that order too.  best[0] is the empty remainder the
-    # rebuild reaches when it takes the last group.
-    by_low: list[list[tuple[tuple[int, ...], int, float]]] = [[] for _ in range(n)]
+    # Each group's sum, 0.0 plus its members in ascending id, seeds its own
+    # entry of ``best``; each row of the table becomes a list of (sum, mask),
+    # lightest first.  best[0] is the empty remainder the rebuild reaches
+    # when it takes the last group.
     best: dict[int, float] = {0: 0.0}
-    for group in itertools.combinations(range(n), l):
-        mask, total = 0, 0.0
-        for t in group:
-            mask |= 1 << t
-            total += mlp[t]
-        best[mask] = total
-        by_low[group[0]].append((group, mask, total))
+    lightest_first = []
+    for row in table:
+        sums = []
+        for group, mask in row:
+            total = 0.0
+            for t in group:
+                total += mlp[t]
+            best[mask] = total
+            sums.append((total, mask))
+        sums.sort()
+        lightest_first.append(sums)
 
     def solve(rem: int) -> float:
         got = best.get(rem)
         if got is not None:
             return got
         out = math.inf
-        for _, mask, total in by_low[(rem & -rem).bit_length() - 1]:
-            if total < out and mask & rem == mask:
+        for total, mask in lightest_first[(rem & -rem).bit_length() - 1]:
+            if total >= out:
+                break
+            if mask & rem == mask:
                 rest = solve(rem ^ mask)
                 if rest < out:  # then max(total, rest) < out, as total < out
                     out = rest if rest > total else total
@@ -224,8 +244,8 @@ def optimal_partition(mlp: Sequence[float], config: SystemConfig) -> Schedule:
     for p in range(config.num_processors):
         group, mask = next(
             (group, mask)
-            for group, mask, total in by_low[(rem & -rem).bit_length() - 1]
-            if total <= opt and mask & rem == mask and solve(rem ^ mask) <= opt
+            for group, mask in table[(rem & -rem).bit_length() - 1]
+            if mask & rem == mask and best[mask] <= opt and solve(rem ^ mask) <= opt
         )
         rem ^= mask
         for s, t in enumerate(group):

@@ -103,10 +103,22 @@ SYNTHETIC_CONFIGS = {
              duration_range=[400, 2500], demand_range=[0, 6]),
         quanta=6, warmup=2, seed=21,
     ),
+    # pools with room for every resident's demand (3 x 8 <= 32), so they
+    # hold their residents' whole demand for most of each quantum, and
+    # migrations frozen for 300 cycles
+    "fitted_pools_4x3": experiment(
+        dict(num_processors=4, slots_per_processor=3, mshrs_per_processor=32,
+             memory_latency=50, quantum_cycles=5000, window_cycles=1000,
+             migration_penalty=300),
+        dict(n_threads=12, seed=55, phases_per_thread=5,
+             duration_range=[2000, 9000], demand_range=[0, 8]),
+        quanta=6, warmup=1, seed=17,
+    ),
 }
 
-# Computed before the engine's periodic fast-forward was added.  The
-# workloads come from ``generate_synthetic`` and the ``random`` policy draws
+# Computed before the engine's periodic fast-forward was added, except
+# ``fitted_pools_4x3``, computed before its fitted-pool jumps (rule 5) were
+# added.  The workloads come from ``generate_synthetic`` and the ``random`` policy draws
 # from ``random.Random``, whose sequences Python does not promise to keep
 # across versions.
 SYNTHETIC = {
@@ -139,6 +151,16 @@ SYNTHETIC = {
         "serpentine_quanta.csv": "3c4ed0fcd8391e844e9efbeb40a6579352aca0bba9334e8808624c7e5e0df134",
         "static_quanta.csv": "29d8801e82fec103454674ed8eba74c5b0cab591a69b89c1ac384cb7467e0d42",
         "summary.json": "c634cd8424047eff323f7419c6234d810e8a209ebe656a36764f9658339f6124",
+    },
+    "fitted_pools_4x3": {
+        "stdout": "b3f14c56106282b71fbf0e5e8d5d2e71fa1dc1284f03bfe55cdfb4c6136f2d6a",
+        "naive_sorted_quanta.csv": "c0e4e8521f30a8f95105bf458dab0d48e7de7da2449aa6f633890e983db9ed8d",
+        "optimal_quanta.csv": "ffb5ce732f88ebbfe4de0d4b2f29424f47601a43856f957d387cf11dabc0d8fd",
+        "random_quanta.csv": "12f51481c53b66f97fc44b4d5c72d6ada0f227d021d43aff82b5a87bba03d9ed",
+        "round_robin_quanta.csv": "32b6ea817aae2408d0d4f0550042d8a78f7b13f34c566e323b9cb873bbbe9326",
+        "serpentine_quanta.csv": "78584b72cacb8fe1d5b2a7a14c1201eaf76bb329c04bff0aeee8478be1e46b57",
+        "static_quanta.csv": "00a35ff234359860d0be6a2eeb945e09597f79408a6a492faf1f5dbe07a61bd8",
+        "summary.json": "2a56a50e9bf564bc16012a893bbc0dd6cb5f4cfe59e2dbb97205773c87232029",
     },
     "short_latency_6x2": {
         "stdout": "4db2581cfca9a5a7404f460343f7a1dfef466e83a8be910a5f718d841feb8fac",

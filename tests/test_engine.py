@@ -5,6 +5,7 @@ Tests that step single cycles drive the cycle-by-cycle oracle in
 for report, and through one-cycle quanta where a table is per cycle.
 """
 
+import math
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from mlpsched.workload import (
     pad_workloads,
 )
 
+import reference
 from reference import SimState, run_reference, sample_mlp, step_cycle
 
 
@@ -796,3 +798,140 @@ def test_repeating_phases_of_one_demand_run_as_a_constant_thread(policy):
     got = run_simulation(*args)
     assert got == run_reference(*args)
     assert got == run_simulation(cfg, (ThreadWorkload(0, constant(3)),) + others, policy, 3, 6)
+
+
+def fitted_machine(rng, policy):
+    """A random machine whose pools hold their residents' whole demand for
+    much of each quantum.
+
+    Pools have room for L times the largest demand, or a little less, so a
+    round often leaves every resident at its cap; phases last a few
+    latencies or more, so a thread often holds more requests than a lower
+    cap it just stepped down to; penalties are 0, below or above the
+    quantum.
+    """
+    k = rng.randint(1, 3)
+    l = rng.randint(1, 3)
+    top = rng.randint(1, 6)
+    latency = rng.randint(1, 12)
+    q_len = latency * rng.randint(4, 24) + rng.randint(0, latency)
+    cfg = SystemConfig(
+        num_processors=k,
+        slots_per_processor=l,
+        mshrs_per_processor=max(top, l * top - rng.choice((0, 0, 0, rng.randint(1, top)))),
+        memory_latency=latency,
+        quantum_cycles=q_len,
+        window_cycles=rng.choice((q_len, rng.randint(1, q_len))),
+        migration_penalty=rng.choice(
+            (0, rng.randint(1, q_len // 2), rng.randint(1, q_len), rng.randint(q_len + 1, 2 * q_len))
+        ),
+    )
+
+    def thread(t):
+        if rng.random() < 0.25:
+            return ThreadWorkload(t, constant(rng.randint(0, top)))
+        phases = tuple(
+            Phase(rng.randint(1, 2 * q_len), rng.randint(0, top)) for _ in range(rng.randint(1, 4))
+        )
+        return ThreadWorkload(t, phases, repeat=rng.random() < 0.7)
+
+    workloads = tuple(thread(t) for t in range(k * l))
+    return cfg, workloads, policy, rng.randrange(1 << 64), rng.randint(1, 4)
+
+
+def fitted_pool_events(monkeypatch, args):
+    """Run the cycle-by-cycle reference on ``args`` and name what its fitted
+    pools saw: for every cycle after a quantum's first ``latency`` cycles at
+    which a pool with a request due before the next event that can touch it
+    ends that cycle with every resident at its cap (its demand, or 0 while
+    frozen), the name of that event, and "over its cap" where the pool
+    would be so except that a resident holds more requests than its cap.
+    Returns the reference's report and the set of names."""
+    cfg = args[0]
+    q_len, latency = cfg.quantum_cycles, cfg.memory_latency
+    seen = set()
+
+    def cap_change(state, t, c, was, limit):
+        """The first cycle after ``c`` at which thread t's cap may differ from
+        ``was``, or a cycle at or past ``limit`` if none comes before it."""
+        if state.frozen_until[t] > c:
+            return state.frozen_until[t]
+        demand = state.demand[t]
+        if demand != was:
+            return c + 1
+        at, index, phases = c + 1 + state.phase_left[t], state.phase_idx[t], state.phases[t]
+        while at < limit:
+            index += 1
+            if index == len(phases):
+                if not state.repeat[t]:
+                    return at if demand else math.inf
+                index = 0
+            if phases[index].demand != demand:
+                return at
+            at += phases[index].duration
+        return at
+
+    def watched(state, config):
+        c = state.cycle
+        demand = state.demand[:]
+        step_cycle(state, config)
+        start = c - c % q_len
+        if c < start + latency:
+            return state
+        boundary = start + q_len
+        window_start = boundary - cfg.window_cycles
+        for p, pool in enumerate(state.pools):
+            residents = state.slot_owner[p]
+            caps = [demand[t] if state.frozen_until[t] <= c else 0 for t in residents]
+            held = [state.outstanding[t] for t in residents]
+            if not pool or any(h < cap for h, cap in zip(held, caps)):
+                continue
+            ends = {
+                "boundary": boundary,
+                "window start": window_start if c < window_start else math.inf,
+            }
+            for t in residents:
+                kind = "unfreeze" if state.frozen_until[t] > c else "step end"
+                at = cap_change(state, t, c, demand[t], boundary)
+                ends[kind] = min(ends.get(kind, math.inf), at)
+            end = min(ends.values())
+            if pool[0][0] < end:
+                if held != caps:
+                    seen.add("over its cap")
+                else:
+                    seen.update(kind for kind, at in ends.items() if at == end)
+        return state
+
+    monkeypatch.setattr(reference, "step_cycle", watched)
+    return run_reference(*args), seen
+
+
+def test_matches_cycle_by_cycle_reference_on_fitted_pools(monkeypatch):
+    """Pools that hold their residents' whole demand, where rule 5 moves
+    every group straight to the next event that can touch the pool: the
+    corpus is checked to cover fitted pools whose next event is each kind
+    that can end a jump, pools held over a resident's lowered cap, and
+    migrations with and without a freeze."""
+    rng = random.Random(2025)
+    seen = dict.fromkeys(
+        (
+            "step end",
+            "unfreeze",
+            "window start",
+            "boundary",
+            "over its cap",
+            "migration, penalty 0",
+            "migration, penalty > 0",
+        ),
+        0,
+    )
+    for case in range(400):
+        args = fitted_machine(rng, tuple(Policy)[case % len(Policy)])
+        want, events = fitted_pool_events(monkeypatch, args)
+        assert run_simulation(*args) == want, f"case {case}: {args}"
+        for name in events:
+            seen[name] += 1
+        kind = migration_kind(want)
+        if kind:
+            seen["migration, penalty " + ("0" if kind == "0" else "> 0")] += 1
+    assert min(seen.values()) >= 20, seen

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from mlpsched import policies
 from mlpsched.core import Schedule, SystemConfig, processor_load, validate_schedule
 from mlpsched.policies import (
     Policy,
@@ -294,6 +295,35 @@ def test_optimal_matches_brute_force_partition(k, l):
 def test_optimal_ties_follow_processor_load_sums(k, l, mlp, key):
     assert reference.optimal_reference(mlp, l) == key
     assert optimal_partition(mlp, cfg(k, l)).placement == _placement_of(key)
+
+
+def test_optimal_group_table_serves_interleaved_shapes_and_ties():
+    """The oracle's group table is built once per shape and shared by every
+    later decision: shapes and vectors interleave, then the first shape
+    comes back, and every answer matches brute force.  Integer, all-equal
+    and repeated values give many groups of equal sum, which the lightest-
+    first search meets at its early stop.  8x2 exceeds the 12-thread cap,
+    so 6x2 stands in for it."""
+    rng = random.Random(76)
+    for k, l in [(4, 3), (2, 6), (3, 4), (6, 2), (4, 3)]:
+        n = k * l
+        vectors = [
+            tuple(range(n)),
+            (3,) * n,
+            tuple(t % 3 for t in range(n)),
+            tuple(rng.choice((0, 1, 2.5, 2.5, 4)) for _ in range(n)),
+        ]
+        for mlp in vectors:
+            got = optimal_partition(mlp, cfg(k, l))
+            assert got.placement == _placement_of(reference.optimal_reference(mlp, l)), (k, l, mlp)
+            assert processor_load(got, mlp, cfg(k, l)).max_sum == reference.min_makespan(mlp, k, l)
+    table = policies._group_table(12, 3)
+    assert table is policies._group_table(12, 3)
+    assert isinstance(table, tuple)
+    for row in table:
+        assert isinstance(row, tuple)
+        for members, mask in row:
+            assert isinstance(members, tuple) and mask == sum(1 << t for t in members)
 
 
 @st.composite
