@@ -117,6 +117,21 @@ period or 2P gap is needed, so this also serves quanta too short for the
 fast-forward.  A rule that lets a jump cross step ends a saturated pool
 cannot see (proposed in ``ROADMAP.md``) would be rule 6.
 
+*Boundary state.*  A run is a set-up step and then one boundary-to-boundary
+step per quantum (``_quantum``) over an explicit state (``_State``): the
+cycle and the last placement; per thread, its place in its tuple of
+steps, the current step's end and demand, its freeze, cap and shortfall;
+per pool, the MSHRs it holds, the requests it issued and its in-flight
+groups; and the cap changes, the FIFO and the parked groups.  The step
+binds the state's lists to locals when its quantum starts and stores back
+what it rebinds at the boundary, so the cycle loop works on locals, and
+the state costs O(N + in-flight) per quantum.  A ``Start`` holds the state
+at the end of quantum 0 under the row-major placement, before any policy
+decides, and that quantum's sample.  Every run on one machine and one
+list of workloads passes through it, so a batch simulates it once and
+each run continues from a copy (``_State.copy``), which shares only the
+step tuples with it.
+
 Everything is integer arithmetic over plain lists, so a run is bitwise
 deterministic in (config, workloads, policy, seed, total_quanta).  The
 cycle-by-cycle engine this one replaced is kept as the test oracle in
@@ -129,7 +144,6 @@ import math
 from bisect import insort
 from collections import deque
 from itertools import chain, groupby
-from itertools import cycle as cycled
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -148,6 +162,7 @@ __all__ = [
     "QuantumRecord",
     "SimulationReport",
     "SimulationTotals",
+    "Start",
     "initial_schedule",
     "run_simulation",
 ]
@@ -235,6 +250,348 @@ def _move_later(held, parked, completions) -> None:
     held.extend(sorted(groups))
 
 
+class _State:
+    """The engine's state at a quantum boundary: everything one quantum
+    hands on to the next.
+
+    ``cycle`` is the boundary and ``schedule`` the placement of the quantum
+    that ended there.  Per thread: ``steps``, its step tuple; ``pos``, its
+    place in it; ``next_end`` and ``demand``, the current step's end and
+    demand; ``frozen``, ``cap``, ``short`` and ``carried``.  Per pool:
+    ``used``, ``pool_issued`` and ``held``.  And the run's sorted
+    ``cap_changes``, its FIFO ``inflight`` and its ``parked`` groups.  Built,
+    it is the state at cycle 0 under the row-major placement, before any
+    quantum runs (the set-up step).
+    """
+
+    __slots__ = (
+        "cycle", "schedule", "steps", "pos", "next_end", "demand", "frozen", "cap", "short",
+        "carried", "used", "pool_issued", "held", "cap_changes", "inflight", "parked",
+    )
+
+    def __init__(self, config: SystemConfig, workloads: Sequence[ThreadWorkload]) -> None:
+        n = config.num_threads
+        k = config.num_processors
+        self.cycle = 0
+        self.schedule = initial_schedule(config)
+        # Each thread's phases as a tuple of (duration, demand) steps,
+        # consecutive phases of one demand merged into one step: a repeating
+        # thread cycles through its steps, one that does not repeat ends in
+        # an idle step that never ends, and a constant thread (one repeating
+        # step) holds its demand forever.
+        steps = []
+        duration_of, demand_of = attrgetter("duration"), attrgetter("demand")
+        for w in workloads:
+            own = [
+                (sum(map(duration_of, run)), level) for level, run in groupby(w.phases, demand_of)
+            ]
+            if not w.repeat:
+                own.append((math.inf, 0))
+            elif len(own) == 1:
+                own = [(math.inf, own[0][1])]
+            steps.append(tuple(own))
+        self.steps = tuple(steps)
+        self.pos = [0] * n
+        self.next_end, self.demand = map(list, zip(*[own[0] for own in steps]))
+        self.frozen = [0] * n  # a migrated thread may not issue before this cycle
+        self.cap = self.demand[:]  # how many requests a thread may hold: 0 while frozen
+        # How many more requests each thread may issue: its cap less its
+        # outstanding requests (across both pools during a migration).  A grant
+        # takes one and a retire gives one back, a cap change adds the new cap
+        # less the old, and a thread whose cap fell below its outstanding
+        # requests goes negative.  Outstanding counts are read back as
+        # cap - short only where occupancy is read.
+        self.short = self.cap[:]
+        # Each thread's requests in flight at the last boundary (cap - short).
+        self.carried = [0] * n
+        self.used = [0] * k  # MSHRs held, per pool
+        # Requests ever issued, per pool, counted at each boundary from each
+        # thread's retires and the growth of its requests in flight over the
+        # ``carried`` into the quantum.
+        self.pool_issued = [0] * k
+        # In-flight requests as [completion, processor, threads] groups, one
+        # per processor and issue cycle, listing one thread id per request.  A
+        # migrated thread's in-flight requests keep the old pool's MSHRs until
+        # they retire.  held[p] keeps pool p's latest groups in completion
+        # order.  In flight, a pool has at most one group per completion cycle
+        # within one latency, each of one MSHR or more, so the last
+        # min(M, latency) groups hold them all; readers drop the retired ones
+        # at the head.  The same groups queue for retirement: all pools share
+        # one latency, so issue order is completion order and one FIFO serves
+        # every pool.  Groups a jump moved later wait in ``parked``, sorted by
+        # completion, and join the FIFO's head when they come due; the entry a
+        # moved group leaves behind has threads None.
+        self.held = [
+            deque(maxlen=min(config.mshrs_per_processor, config.memory_latency)) for _ in range(k)
+        ]
+        self.inflight = deque()
+        self.parked = []
+        # (cycle, thread) whenever the thread's cap may change, at its next step
+        # end or at its unfreeze, kept sorted so the head is the earliest.  A
+        # step that never ends is never listed; an unfreeze a later migration
+        # overtook is dropped when reached.  The tail sentinel is never reached,
+        # so the list is never empty.
+        self.cap_changes = sorted(
+            (end, t) for t, end in enumerate(self.next_end) if end < math.inf
+        )
+        self.cap_changes.append((math.inf, n))
+
+    def copy(self) -> _State:
+        """The same state, sharing no mutable list with this one.
+
+        Only the step tuples are shared.  Each in-flight group becomes one
+        new list that the copy's FIFO, ``parked`` and ``held`` share as this
+        state's do, so a jump in the copy voids the copy's entry alone.
+        Groups ``held`` still lists after they retired are left out, as
+        its readers would drop them.  No entry is void at a boundary: a
+        jump voids only entries due before the end of its span.
+        """
+        twin = {id(g): [g[0], g[1], g[2][:]] for g in chain(self.inflight, self.parked)}
+        other = _State.__new__(_State)
+        other.cycle = self.cycle
+        other.schedule = self.schedule
+        other.steps = self.steps
+        for name in ("pos", "next_end", "demand", "frozen", "cap", "short", "carried", "used",
+                     "pool_issued", "cap_changes"):
+            setattr(other, name, getattr(self, name)[:])
+        other.held = [
+            deque((twin[id(g)] for g in groups if id(g) in twin), groups.maxlen)
+            for groups in self.held
+        ]
+        other.inflight = deque(twin[id(g)] for g in self.inflight)
+        other.parked = [twin[id(g)] for g in self.parked]
+        return other
+
+
+def _quantum(state: _State, config: SystemConfig, schedule: Schedule) -> tuple:
+    """Run one quantum under ``schedule`` from the boundary ``state`` is at,
+    and leave ``state`` at the next boundary: the boundary-to-boundary step.
+
+    Threads whose processor differs from ``state.schedule``'s are frozen
+    first, for ``migration_penalty`` cycles.  The step works on locals
+    bound to ``state``'s lists, which it changes in place, and stores back
+    what it rebinds.  Returns the quantum's sampled counters and each
+    thread's retired requests and stall cycles.
+    """
+    n = config.num_threads
+    k = config.num_processors
+    l = config.slots_per_processor
+    mshrs = config.mshrs_per_processor
+    latency = config.memory_latency
+    penalty = config.migration_penalty
+    period = l * latency
+
+    cycle = state.cycle
+    steps, pos, next_end, demand = state.steps, state.pos, state.next_end, state.demand
+    frozen, cap, short = state.frozen, state.cap, state.short
+    used, held, cap_changes = state.used, state.held, state.cap_changes
+    inflight, parked = state.inflight, state.parked
+
+    where = [p for p, _ in schedule.placement]
+    if penalty:
+        for t, (was, _) in enumerate(state.schedule.placement):
+            if was != where[t]:
+                frozen[t] = cycle + penalty
+                short[t] -= cap[t]
+                cap[t] = 0
+                insort(cap_changes, (frozen[t], t))
+    owners = [[-1] * l for _ in range(k)]  # [processor][slot] -> thread
+    for t, (p, s) in enumerate(schedule.placement):
+        owners[p][s] = t
+    # Each processor's slot ring twice over: rings[p][s:s + l] visits its
+    # slots from start slot s.
+    rings = [owned + owned for owned in owners]
+    boundary = cycle + config.quantum_cycles
+    # Groups completing before this were issued in an earlier quantum, so
+    # they may hold a migrated thread's requests.
+    drain_end = cycle + latency
+    touched = set(range(k))
+    stalled = [[] for _ in range(k)]  # left wanting at a full pool by the last round
+    since = [cycle] * k  # the cycle of each processor's last round
+    # Per thread, this quantum's retired requests and stall cycles.
+    completed = [0] * n
+    stalls = [0] * n
+    # Per processor, the cycle of its last fast-forward check (rule 4) and
+    # what that check recorded: (groups, counters), or None.  Checks start
+    # after the drain.
+    checked = [drain_end - period] * k
+    settled = [None] * k
+    # Two spans, each ending with an occupancy read: up to the window start,
+    # then up to the boundary.
+    reads = []
+    for span_end in (boundary - config.window_cycles, boundary):
+        while cycle < span_end:
+            while cap_changes[0][0] == cycle:
+                t = cap_changes.pop(0)[1]
+                if next_end[t] == cycle:
+                    own = steps[t]
+                    i = pos[t] = (pos[t] + 1) % len(own)
+                    duration, demand[t] = own[i]
+                    next_end[t] = cycle + duration
+                    if duration < math.inf:
+                        insort(cap_changes, (next_end[t], t))
+                if frozen[t] <= cycle:
+                    short[t] += demand[t] - cap[t]
+                    cap[t] = demand[t]
+                    touched.add(where[t])
+
+            while parked and parked[0][0] == cycle:
+                inflight.appendleft(parked.pop(0))
+            while inflight and inflight[0][0] == cycle:
+                _, p, threads = inflight.popleft()
+                if threads is None:
+                    continue
+                used[p] -= len(threads)
+                for t in threads:
+                    short[t] += 1
+                    completed[t] += 1
+                touched.add(p)
+                if cycle < drain_end:
+                    touched.update([where[t] for t in threads])
+
+            start = cycle % l
+            completion = cycle + latency
+            for p in touched:
+                wanting = stalled[p]
+                if wanting:
+                    gap = cycle - since[p]
+                    for t in wanting:
+                        stalls[t] += gap
+                since[p] = cycle
+                free = mshrs - used[p]
+                # Single-grant rounds over the rotating slot order split a
+                # scarce pool evenly (within one request) among the wanting
+                # threads; what the last round leaves wanting is the stalls.
+                granted = []
+                wanting = rings[p][start:start + l]
+                while True:
+                    left = []
+                    for t in wanting:
+                        want = short[t]
+                        if want > 0:
+                            if free:
+                                free -= 1
+                                short[t] = want - 1
+                                granted.append(t)
+                                if want > 1:
+                                    left.append(t)
+                            else:
+                                left.append(t)
+                    if not (free and left):
+                        break
+                    wanting = left
+                stalled[p] = left
+                if granted:
+                    group = [completion, p, granted]
+                    inflight.append(group)
+                    held[p].append(group)
+                    used[p] += len(granted)
+                # Rule 5 holds once the drain is over and every resident is
+                # at its cap; rule 4 checks once a period.
+                if left or cycle < drain_end or any(map(short.__getitem__, owners[p])):
+                    if cycle - checked[p] < period:
+                        continue
+                    fitted = False
+                else:
+                    fitted = True
+                residents = owners[p]
+                groups = held[p]
+                while groups and groups[0][0] <= cycle:
+                    groups.popleft()
+                horizon = min(
+                    boundary,
+                    *[next_end[t] if frozen[t] <= cycle else frozen[t] for t in residents],
+                )
+                # A jump stops short of the horizon and of the span end, whose
+                # read needs every thread's true occupancy.
+                end = horizon if horizon < span_end else span_end
+                if fitted:
+                    # Rule 5: each group is re-issued whole at every retire
+                    # before the end.
+                    later = []
+                    for c, _, threads in groups:
+                        if c < end:
+                            times = (end - c - 1) // latency + 1
+                            for t in threads:
+                                completed[t] += times
+                            c += times * latency
+                        later.append(c)
+                    _move_later(groups, parked, later)
+                    continue
+                record = settled[p] if cycle - checked[p] == period else None
+                if not record and end - cycle <= 2 * period:
+                    # No jump can start before the end, so the next check
+                    # waits for it.
+                    checked[p] = end - period
+                    settled[p] = None
+                    continue
+                mine = [(c - cycle, g) for c, _, g in groups]
+                counters = [completed[t] for t in residents] + [stalls[t] for t in residents]
+                at = cycle
+                times = (end - cycle - 1) // period
+                if times and record and record[0] == mine:
+                    counters = [now + times * (now - then) for now, then in zip(counters, record[1])]
+                    for t, done, stalled_for in zip(residents, counters, counters[l:]):
+                        completed[t] = done
+                        stalls[t] = stalled_for
+                    at = since[p] = cycle + times * period
+                    _move_later(groups, parked, [at + ahead for ahead, _ in mine])
+                checked[p] = at
+                # Keep the record while the check one period on has room to
+                # jump before the horizon; if the window start leaves it none,
+                # the check after that jumps.
+                settled[p] = (mine, counters) if horizon - at > 2 * period else None
+            touched.clear()
+
+            next_event = span_end
+            if cap_changes[0][0] < next_event:
+                next_event = cap_changes[0][0]
+            if inflight and inflight[0][0] < next_event:
+                next_event = inflight[0][0]
+            if parked and parked[0][0] < next_event:
+                next_event = parked[0][0]
+            cycle = next_event
+        reads.append(_occupancy(cycle, latency, completed, cap, short, chain.from_iterable(held)))
+    window_base, occ = reads
+
+    for p, wanting in enumerate(stalled):
+        gap = boundary - since[p]
+        for t in wanting:
+            stalls[t] += gap
+    pool_issued, carried = state.pool_issued, state.carried
+    for t, p in enumerate(where):
+        pool_issued[p] += completed[t] + cap[t] - short[t] - carried[t]
+    state.carried = [c - s for c, s in zip(cap, short)]
+    state.cycle = boundary
+    state.schedule = schedule
+    window = config.window_cycles
+    mlp = tuple((a - b) / window for a, b in zip(occ, window_base))
+    return mlp, tuple(completed), tuple(stalls)
+
+
+class Start:
+    """A batch's shared start: the engine's state at the end of quantum 0
+    under the row-major placement, before any policy decides, with that
+    quantum's sample.
+
+    Every run on one machine and one list of workloads starts from the
+    row-major placement, so all of them simulate the same set-up and the
+    same quantum 0; only the decision at its end differs.  ``Start(config,
+    workloads)`` checks and pads the workloads, builds the step tuples and
+    runs quantum 0 once; ``run_simulation(..., start=start)`` continues
+    from a copy of it, so one start serves any number of runs (the step
+    tuples are the only thing they share) and is never changed by them.
+    """
+
+    __slots__ = ("config", "workloads", "_state", "_sample")
+
+    def __init__(self, config: SystemConfig, workloads: Sequence[ThreadWorkload]) -> None:
+        self.config = config
+        self.workloads = tuple(workloads)
+        self._state = _State(config, pad_workloads(self.workloads, config))
+        self._sample = _quantum(self._state, config, self._state.schedule)
+
+
 def run_simulation(
     config: SystemConfig,
     workloads: Sequence[ThreadWorkload],
@@ -242,6 +599,8 @@ def run_simulation(
     seed: int = 0,
     total_quanta: int = 1,
     observer: Callable[[QuantumRecord], object] | None = None,
+    *,
+    start: Start | None = None,
 ) -> SimulationReport:
     """Drive the feedback loop: simulate a quantum, sample counters, reschedule.
 
@@ -253,256 +612,34 @@ def run_simulation(
     for ``migration_penalty`` cycles while their in-flight requests drain on
     the old pool.  The report is deterministic in every argument.
 
+    ``start``, if given, must be a ``Start`` built for this ``config`` and
+    these ``workloads`` (a ``ValueError`` otherwise); the run then continues
+    from a copy of its quantum 0 and gives the report it would give without.
+
     ``observer``, if given, is called once per quantum, in order, with the
     quantum's record as soon as it is built, before the next quantum runs.
     The record is the one the report will hold, so the observer must not
     mutate it; an exception it raises propagates out of the run.  A run
-    keeps all its state in locals, so the observer may start runs of its
-    own (a forked map's children do), and neither run changes the other.
+    keeps its state to itself, so the observer may start runs of its own
+    (a forked map's children do), and neither run changes the other.
     """
     policy = Policy(policy)
     if total_quanta < 1:
         raise ValueError(f"total_quanta must be >= 1, got {total_quanta}")
-    workloads = pad_workloads(workloads, config)
-    n = config.num_threads
+    if start is None:
+        start = Start(config, workloads)
+        state = start._state  # built for this run alone, so it runs in place
+    elif start.config != config or start.workloads != tuple(workloads):
+        raise ValueError("start was built for another machine or other workloads")
+    else:
+        state = start._state.copy()
+    mlp, completed, stalls = start._sample
 
-    k = config.num_processors
-    l = config.slots_per_processor
-    mshrs = config.mshrs_per_processor
-    latency = config.memory_latency
-    q_len = config.quantum_cycles
-    window = config.window_cycles
-    penalty = config.migration_penalty
-
-    # In-flight requests as [completion, processor, threads] groups, one per
-    # processor and issue cycle, listing one thread id per request.  A
-    # migrated thread's in-flight requests keep the old pool's MSHRs until
-    # they retire.  held[p] keeps pool p's latest groups in completion order.
-    # In flight, a pool has at most one group per completion cycle within one
-    # latency, each of one MSHR or more, so the last min(M, latency) groups
-    # hold them all; readers drop the retired ones at the head.
-    # The same groups queue for retirement: all pools share one latency, so
-    # issue order is completion order and one FIFO serves every pool.
-    # Groups a jump moved later wait in ``parked``, sorted by completion, and
-    # join the FIFO's head when they come due; the entry a moved group
-    # leaves behind has threads None.
-    held = [deque(maxlen=min(mshrs, latency)) for _ in range(k)]
-    inflight = deque()
-    parked = []
-    used = [0] * k  # MSHRs held, per pool
-    # Requests ever issued, per pool, counted at each boundary from each
-    # thread's retires and the growth of its requests in flight over the
-    # ``carried`` into the quantum.
-    pool_issued = [0] * k
-    carried = [0] * n
-    owners = [[-1] * l for _ in range(k)]  # [processor][slot] -> thread
-    # Each thread's phases as an endless iterator of (duration, demand) steps,
-    # consecutive phases of one demand merged into one step: a repeating
-    # thread cycles its steps, one that does not repeat ends in an idle step
-    # that never ends, and a constant thread (one repeating step) holds its
-    # demand forever.
-    upcoming = []
-    duration_of, demand_of = attrgetter("duration"), attrgetter("demand")
-    for w in workloads:
-        steps = [
-            (sum(map(duration_of, run)), level) for level, run in groupby(w.phases, demand_of)
-        ]
-        if not w.repeat:
-            steps.append((math.inf, 0))
-        elif len(steps) == 1:
-            steps = [(math.inf, steps[0][1])]
-        upcoming.append(cycled(steps))
-    next_end, demand = map(list, zip(*map(next, upcoming)))
-    frozen = [0] * n  # a migrated thread may not issue before this cycle
-    cap = demand[:]  # how many requests a thread may hold: 0 while frozen
-    # How many more requests each thread may issue: its cap less its
-    # outstanding requests (across both pools during a migration).  A grant
-    # takes one and a retire gives one back, a cap change adds the new cap
-    # less the old, and a thread whose cap fell below its outstanding
-    # requests goes negative.  Outstanding counts are read back as
-    # cap - short only where occupancy is read.
-    short = cap[:]
-    # (cycle, thread) whenever the thread's cap may change, at its next step
-    # end or at its unfreeze, kept sorted so the head is the earliest.  A
-    # step that never ends is never listed; an unfreeze a later migration
-    # overtook is dropped when reached.  The tail sentinel is never reached,
-    # so the list is never empty.
-    cap_changes = sorted((end, t) for t, end in enumerate(next_end) if end < math.inf)
-    cap_changes.append((math.inf, n))
-    stalled = [[] for _ in range(k)]  # left wanting at a full pool by the last round
-    since = [0] * k  # the cycle of each processor's last round
-    period = l * latency
-
-    schedule = initial_schedule(config)
     records: list[QuantumRecord] = []
-    cycle = 0
     for q in range(total_quanta):
-        where = [p for p, _ in schedule.placement]
-        for t, (p, s) in enumerate(schedule.placement):
-            owners[p][s] = t
-        # Each processor's slot ring twice over: rings[p][s:s + l] visits
-        # its slots from start slot s.
-        rings = [owned + owned for owned in owners]
-        boundary = cycle + q_len
-        # Groups completing before this were issued in an earlier quantum,
-        # so they may hold a migrated thread's requests.
-        drain_end = cycle + latency
-        touched = set(range(k))
-        # Per thread, this quantum's retired requests and stall cycles.
-        completed = [0] * n
-        stalls = [0] * n
-        # Per processor, the cycle of its last fast-forward check (rule 4)
-        # and what that check recorded: (groups, counters), or None.  Checks
-        # start after the drain.
-        checked = [drain_end - period] * k
-        settled = [None] * k
-        # Two spans, each ending with an occupancy read: up to the window
-        # start, then up to the boundary.
-        reads = []
-        for span_end in (boundary - window, boundary):
-            while cycle < span_end:
-                while cap_changes[0][0] == cycle:
-                    t = cap_changes.pop(0)[1]
-                    if next_end[t] == cycle:
-                        duration, demand[t] = next(upcoming[t])
-                        next_end[t] = cycle + duration
-                        if duration < math.inf:
-                            insort(cap_changes, (next_end[t], t))
-                    if frozen[t] <= cycle:
-                        short[t] += demand[t] - cap[t]
-                        cap[t] = demand[t]
-                        touched.add(where[t])
-
-                while parked and parked[0][0] == cycle:
-                    inflight.appendleft(parked.pop(0))
-                while inflight and inflight[0][0] == cycle:
-                    _, p, threads = inflight.popleft()
-                    if threads is None:
-                        continue
-                    used[p] -= len(threads)
-                    for t in threads:
-                        short[t] += 1
-                        completed[t] += 1
-                    touched.add(p)
-                    if cycle < drain_end:
-                        touched.update([where[t] for t in threads])
-
-                start = cycle % l
-                completion = cycle + latency
-                for p in touched:
-                    wanting = stalled[p]
-                    if wanting:
-                        gap = cycle - since[p]
-                        for t in wanting:
-                            stalls[t] += gap
-                    since[p] = cycle
-                    free = mshrs - used[p]
-                    # Single-grant rounds over the rotating slot order split a
-                    # scarce pool evenly (within one request) among the wanting
-                    # threads; what the last round leaves wanting is the stalls.
-                    granted = []
-                    wanting = rings[p][start:start + l]
-                    while True:
-                        left = []
-                        for t in wanting:
-                            want = short[t]
-                            if want > 0:
-                                if free:
-                                    free -= 1
-                                    short[t] = want - 1
-                                    granted.append(t)
-                                    if want > 1:
-                                        left.append(t)
-                                else:
-                                    left.append(t)
-                        if not (free and left):
-                            break
-                        wanting = left
-                    stalled[p] = left
-                    if granted:
-                        group = [completion, p, granted]
-                        inflight.append(group)
-                        held[p].append(group)
-                        used[p] += len(granted)
-                    # Rule 5 holds once the drain is over and every resident
-                    # is at its cap; rule 4 checks once a period.
-                    if left or cycle < drain_end or any(map(short.__getitem__, owners[p])):
-                        if cycle - checked[p] < period:
-                            continue
-                        fitted = False
-                    else:
-                        fitted = True
-                    residents = owners[p]
-                    groups = held[p]
-                    while groups and groups[0][0] <= cycle:
-                        groups.popleft()
-                    horizon = min(
-                        boundary,
-                        *[next_end[t] if frozen[t] <= cycle else frozen[t] for t in residents],
-                    )
-                    # A jump stops short of the horizon and of the span end,
-                    # whose read needs every thread's true occupancy.
-                    end = horizon if horizon < span_end else span_end
-                    if fitted:
-                        # Rule 5: each group is re-issued whole at every
-                        # retire before the end.
-                        later = []
-                        for c, _, threads in groups:
-                            if c < end:
-                                times = (end - c - 1) // latency + 1
-                                for t in threads:
-                                    completed[t] += times
-                                c += times * latency
-                            later.append(c)
-                        _move_later(groups, parked, later)
-                        continue
-                    record = settled[p] if cycle - checked[p] == period else None
-                    if not record and end - cycle <= 2 * period:
-                        # No jump can start before the end, so the next check
-                        # waits for it.
-                        checked[p] = end - period
-                        settled[p] = None
-                        continue
-                    mine = [(c - cycle, g) for c, _, g in groups]
-                    counters = [completed[t] for t in residents] + [stalls[t] for t in residents]
-                    at = cycle
-                    times = (end - cycle - 1) // period
-                    if times and record and record[0] == mine:
-                        counters = [now + times * (now - then) for now, then in zip(counters, record[1])]
-                        for t, done, stalled_for in zip(residents, counters, counters[l:]):
-                            completed[t] = done
-                            stalls[t] = stalled_for
-                        at = since[p] = cycle + times * period
-                        _move_later(groups, parked, [at + ahead for ahead, _ in mine])
-                    checked[p] = at
-                    # Keep the record while the check one period on has room
-                    # to jump before the horizon; if the window start leaves
-                    # it none, the check after that jumps.
-                    settled[p] = (mine, counters) if horizon - at > 2 * period else None
-                touched.clear()
-
-                next_event = span_end
-                if cap_changes[0][0] < next_event:
-                    next_event = cap_changes[0][0]
-                if inflight and inflight[0][0] < next_event:
-                    next_event = inflight[0][0]
-                if parked and parked[0][0] < next_event:
-                    next_event = parked[0][0]
-                cycle = next_event
-            reads.append(
-                _occupancy(cycle, latency, completed, cap, short, chain.from_iterable(held))
-            )
-        window_base, occ = reads
-
-        for p, wanting in enumerate(stalled):
-            gap = boundary - since[p]
-            for t in wanting:
-                stalls[t] += gap
-        since = [boundary] * k
-        for t, p in enumerate(where):
-            pool_issued[p] += completed[t] + cap[t] - short[t] - carried[t]
-        carried = [c - s for c, s in zip(cap, short)]
-        mlp = tuple((a - b) / window for a, b in zip(occ, window_base))
+        if q:
+            mlp, completed, stalls = _quantum(state, config, chosen)
+        schedule = state.schedule
         chosen = next_schedule(policy, mlp, config, schedule, quantum_seed(seed, q))
         records.append(
             QuantumRecord(
@@ -511,22 +648,17 @@ def run_simulation(
                 schedule=schedule,
                 chosen=chosen,
                 quality=processor_load(chosen, mlp, config),
-                completed=tuple(completed),
-                stalls=tuple(stalls),
+                completed=completed,
+                stalls=stalls,
             )
         )
         if observer is not None:
             observer(records[-1])
-        for t, (p, _) in enumerate(chosen.placement):
-            if penalty and p != where[t]:
-                frozen[t] = boundary + penalty
-                short[t] -= cap[t]
-                cap[t] = 0
-                insort(cap_changes, (frozen[t], t))
-        schedule = chosen
 
-    cycles = total_quanta * q_len
-    pool_total = [latency * issued for issued in pool_issued]
+    latency = config.memory_latency
+    held = state.held
+    cycles = state.cycle
+    pool_total = [latency * issued for issued in state.pool_issued]
     for completion, p, threads in chain.from_iterable(held):
         if completion > cycles:
             pool_total[p] -= (completion - cycles) * len(threads)
@@ -539,7 +671,7 @@ def run_simulation(
         stall_cycles_per_thread=tuple(stalls),
         stall_cycles=sum(stalls),
         occupancy_integral=tuple(
-            _occupancy(cycles, latency, completed, cap, short, chain.from_iterable(held))
+            _occupancy(cycles, latency, completed, state.cap, state.short, chain.from_iterable(held))
         ),
         mean_processor_occupancy=tuple(pt / cycles for pt in pool_total),
         cycles=cycles,

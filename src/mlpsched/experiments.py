@@ -12,14 +12,15 @@ identical workloads and seeds, and emit schema-stable tables:
 
 Independent runs (the policies of a batch, every (point, policy) run of a
 sweep) go to forked processes, in shares of at most max(1, runs // CPUs)
-runs each.  Both forking paths decide between quanta, with one rule
-(``_pays``): the map watches the quanta of its first run, and once the
-quanta left are worth a fork it forks the other shares from there, while
-that run goes on in the parent (``_forked_map``).  An oracle check scores
-each quantum while its run goes on, and once the decisions left are worth
-a fork it streams them to forked workers (``run_oracle_check``).  The
-results are the same whatever the CPU count; without ``os.fork``
-everything runs in one process.
+runs each; a batch simulates its set-up and quantum 0 once, before the
+map, and every run continues from a copy.  Both forking paths decide
+between quanta, with one rule (``_pays``): the map times the quanta of its
+first run after the first, and once the quanta left are worth a fork it
+forks the other shares from there, while that run goes on in the parent
+(``_forked_map``).  An oracle check scores each quantum while its run goes
+on, and once the decisions left are worth a fork it streams them to forked
+workers (``run_oracle_check``).  The results are the same whatever the CPU
+count; without ``os.fork`` everything runs in one process.
 
 Data files never embed timestamps, so identical inputs give identical bytes.
 Floats are written in shortest round-trip form (``str``).  Summary metrics
@@ -52,7 +53,7 @@ from .core import (
     processor_load,
     replace,
 )
-from .engine import SimulationReport, run_simulation
+from .engine import SimulationReport, Start, run_simulation
 from .policies import (
     Policy,
     _check_oracle_cap,
@@ -101,6 +102,11 @@ _SYSTEM_FIELDS = SystemConfig._fields
 SWEEPABLE_FIELDS = _SYSTEM_FIELDS + ("seed", "quanta")
 
 _MAX_SEED = 1 << 64
+# What a config may ask for, refused before anything is padded or generated:
+# a run holds per-thread state for every one of the machine's K*L slots, and
+# the synthetic form draws every phase it lists.
+_MAX_SLOTS = 1 << 16
+_MAX_SYNTHETIC_PHASES = 1 << 20
 
 
 def _fail(field: str, problem: str) -> ConfigError:
@@ -148,6 +154,11 @@ class ExperimentConfig(Value):
         if Policy.OPTIMAL in self.policies:
             with _naming("policies"):
                 _check_oracle_cap(self.system)
+        if self.system.num_threads > _MAX_SLOTS:
+            raise _fail(
+                "system",
+                f"the machine has {_slots(self.system)} slots, more than {_MAX_SLOTS}",
+            )
         with _naming("workload"):
             pad_workloads(self.workloads, self.system)
 
@@ -227,7 +238,8 @@ def _parse_workloads(
     Forms: ``trace`` (path, relative to the config file), ``synthetic``
     (WorkloadSpec fields + n_threads + seed), ``threads`` (explicit phase
     lists), or ``demands`` (shorthand: one constant-demand repeating phase
-    per thread).  A synthetic thread count above the machine's K*L slots is
+    per thread).  A synthetic thread count above the machine's K*L slots,
+    or more than ``_MAX_SYNTHETIC_PHASES`` phases over all threads, is
     refused before any thread is generated.
     """
     section = _section(section, "workload", _WORKLOAD_FORMS)
@@ -260,7 +272,17 @@ def _parse_workloads(
             if key in raw
         }
         with _naming("workload.synthetic"):
-            return generate_synthetic(WorkloadSpec(**spec_kwargs), n_threads, seed)
+            spec = WorkloadSpec(**spec_kwargs)
+        phases = n_threads * spec.phases_per_thread
+        if phases > _MAX_SYNTHETIC_PHASES:
+            raise _fail(
+                "workload.synthetic.phases_per_thread",
+                f"n_threads * phases_per_thread = {_shown(n_threads)}*"
+                f"{_shown(spec.phases_per_thread)} = {_shown(phases)} phases, "
+                f"more than {_MAX_SYNTHETIC_PHASES}",
+            )
+        with _naming("workload.synthetic"):
+            return generate_synthetic(spec, n_threads, seed)
 
     if form == "threads":
         if not isinstance(raw, list):
@@ -431,6 +453,10 @@ def _forked_map(fn: Callable, items: Sequence, steps: int) -> list:
     parent, which then computes the rest of share 0.  If item 0 ends first,
     the parent runs the rest itself.  Every item runs once.
 
+    The clock starts at the observer's first call and ``_pays`` projects
+    from the steps after it, so neither item 0's set-up nor a first step
+    that the items share (``run_policies``' start) counts as work per step.
+
     ``fn`` must be deterministic in its item, so the results do not depend
     on which process computes them; safe to call from inside its own
     observer, where the children run their shares; and its results must
@@ -441,13 +467,16 @@ def _forked_map(fn: Callable, items: Sequence, steps: int) -> list:
     if len(items) < 2 or cpus < 2 or not _can_fork():
         return [fn(x, None) for x in items]
     forked = None
-    done = 0
-    started = perf_counter()
+    done = 0  # steps timed, those after item 0's first
+    started = None
 
     def observer(_record) -> None:
-        nonlocal forked, done
-        done += 1
-        if forked is None and _pays(perf_counter() - started, done, steps - done):
+        nonlocal forked, done, started
+        if started is None:
+            started = perf_counter()
+        else:
+            done += 1
+        if forked is None and _pays(perf_counter() - started, done, steps - 1 - done):
             from ._fork import ForkedMap  # compiled and imported only by a map that forks
 
             forked = ForkedMap(lambda x: fn(x, None), items, cpus)
@@ -465,10 +494,22 @@ def _forked_map(fn: Callable, items: Sequence, steps: int) -> list:
 
 
 def run_policies(config: ExperimentConfig) -> list[SimulationReport]:
-    """Run every listed policy on identical workloads and seed."""
+    """Run every listed policy on identical workloads and seed.
+
+    The runs share their set-up and quantum 0, which no policy has decided
+    yet: that ``Start`` is simulated once, before the map, and every run,
+    in this process or a forked child, continues from a copy of it.
+    """
+    start = Start(config.system, config.workloads)
     return _forked_map(
         lambda policy, observer: run_simulation(
-            config.system, config.workloads, policy, config.seed, config.quanta, observer
+            config.system,
+            config.workloads,
+            policy,
+            config.seed,
+            config.quanta,
+            observer,
+            start=start,
         ),
         config.policies,
         config.quanta * len(config.policies),

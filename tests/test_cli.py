@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from mlpsched import experiments
 from mlpsched.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -274,6 +275,30 @@ def test_bad_system_value_names_the_system_field(tmp_path, capsys, fields, probl
     cfg = write_config(tmp_path, with_system(**fields))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: config field 'system': {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "doc, field, count",
+    [
+        (with_system(num_processors=65_537, slots_per_processor=1), "system", "65537"),
+        (
+            synthetic(n_threads=1, phases_per_thread=1_048_577),
+            "workload.synthetic.phases_per_thread",
+            "1048577",
+        ),
+    ],
+    ids=["slots", "synthetic_phases"],
+)
+def test_config_one_past_a_work_bound_is_refused_before_padding_or_generating(
+    tmp_path, capsys, monkeypatch, doc, field, count
+):
+    for name in ("pad_workloads", "generate_synthetic"):
+        monkeypatch.setattr(experiments, name, lambda *_, name=name: pytest.fail(f"{name} ran"))
+    cfg = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{field}': ")
+    assert f" {count} " in err and err.count("\n") == 1
 
 
 def test_long_unknown_key_is_shown_cut_short(tmp_path, capsys):

@@ -5,14 +5,16 @@ Tests that step single cycles drive the cycle-by-cycle oracle in
 for report, and through one-cycle quanta where a table is per cycle.
 """
 
+import itertools
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlpsched.core import ConfigError, Schedule, SystemConfig, replace
-from mlpsched.engine import initial_schedule, run_simulation
+from mlpsched.engine import Start, _quantum, initial_schedule, run_simulation
 from mlpsched.policies import Policy, serpentine_schedule
 from mlpsched.workload import (
     Phase,
@@ -935,3 +937,96 @@ def test_matches_cycle_by_cycle_reference_on_fitted_pools(monkeypatch):
         if kind:
             seen["migration, penalty " + ("0" if kind == "0" else "> 0")] += 1
     assert min(seen.values()) >= 20, seen
+
+
+# boundary state
+
+
+def mutables(value, found):
+    """Every list and deque inside ``value``, by id, tuples walked through."""
+    if isinstance(value, (list, deque)):
+        found.add(id(value))
+    if isinstance(value, (list, deque, tuple)):
+        for item in value:
+            mutables(item, found)
+    return found
+
+
+def as_list(state):
+    """A state's fields but its step tuples, which every copy shares."""
+    return [getattr(state, name) for name in state.__slots__ if name != "steps"]
+
+
+def as_value(state):
+    """A state's fields as nested tuples; ``held`` without the groups that
+    retired before the boundary, which its readers drop anyway."""
+    fields = {}
+    for name in state.__slots__:
+        value = getattr(state, name)
+        if name == "held":
+            value = [
+                [(c, p, tuple(ts)) for c, p, ts in groups if c >= state.cycle] for groups in value
+            ]
+        elif name in ("inflight", "parked"):
+            value = [(c, p, tuple(ts)) for c, p, ts in value]
+        elif isinstance(value, list):
+            value = tuple(value)
+        fields[name] = value
+    return fields
+
+
+def test_a_copied_boundary_state_runs_on_as_the_uninterrupted_run():
+    """For every policy: run q quanta, copy the state, run the rest from the
+    copy, and each later quantum's sample and the final state match the
+    uninterrupted run's, for every q; so does the original, run on after
+    the copy ran.  The two share no mutable list, only the step tuples.
+    The corpus is checked to cover copies taken with groups parked by a
+    jump and with frozen threads; no copy meets a voided FIFO entry."""
+    rng = random.Random(2026)
+    seen = dict.fromkeys(("parked", "frozen"), 0)
+    for case in range(120):
+        draw = random_machine if case % 2 else long_machine
+        cfg, workloads, policy, seed, quanta = draw(rng, tuple(Policy)[case % len(Policy)])
+        report = run_simulation(cfg, workloads, policy, seed, quanta)
+        start = Start(cfg, workloads)
+        assert run_simulation(cfg, workloads, policy, seed, quanta, start=start) == report
+        samples = [(r.sampled_mlp, r.completed, r.stalls) for r in report.per_quantum]
+        chosen = [r.chosen for r in report.per_quantum]
+        whole = Start(cfg, workloads)._state
+        for q in range(1, quanta):
+            _quantum(whole, cfg, chosen[q - 1])
+        for done in range(1, quanta + 1):
+            state = Start(cfg, workloads)._state
+            for q in range(1, done):
+                _quantum(state, cfg, chosen[q - 1])
+            copy = state.copy()
+            assert copy.steps is state.steps
+            assert not mutables(as_list(copy), set()) & mutables(as_list(state), set())
+            seen["parked"] += bool(state.parked)
+            assert all(g[2] is not None for g in itertools.chain(state.inflight, state.parked))
+            seen["frozen"] += any(f > state.cycle for f in state.frozen)
+            for run in (copy, state):
+                rest = [_quantum(run, cfg, chosen[q - 1]) for q in range(done, quanta)]
+                assert rest == samples[done:], f"case {case}, copied after {done}"
+                assert as_value(run) == as_value(whole), f"case {case}, copied after {done}"
+    assert min(seen.values()) >= 10, seen
+
+
+def test_a_start_for_another_machine_or_other_workloads_is_refused():
+    cfg = machine(num_processors=2, slots_per_processor=2, quantum_cycles=500, window_cycles=200)
+    workloads = tuple(
+        ThreadWorkload(t, (Phase(300 + 100 * t, t + 1), Phase(200, 4 - t))) for t in range(4)
+    )
+    start = Start(cfg, workloads)
+    others = [
+        (replace(cfg, memory_latency=50), workloads),
+        (cfg, workloads[:3]),
+        (cfg, workloads[:3] + (ThreadWorkload(3, constant(2)),)),
+    ]
+    for other_cfg, other_workloads in others:
+        with pytest.raises(ValueError, match="another machine or other workloads"):
+            run_simulation(other_cfg, other_workloads, "serpentine", 0, 3, start=start)
+    # the same workloads in a list are the same workloads; the start is unchanged by its runs
+    want = run_simulation(cfg, workloads, "serpentine", 0, 3)
+    assert run_simulation(cfg, list(workloads), "serpentine", 0, 3, start=start) == want
+    assert run_simulation(cfg, workloads, "serpentine", 0, 3, start=start) == want

@@ -654,8 +654,9 @@ def test_cli_outputs_are_the_same_bytes_serial_and_forked(
     pays = experiments._pays
     given, forks_made, mapped = [], [], []
     # serial; forking at item 0's first quantum boundary (oracle-check:
-    # before quantum 0); forking at its third boundary (oracle-check: after
-    # three quanta), mid-item; 3 CPUs, forking at once
+    # before quantum 0); forking once three quanta are timed, mid-item: at
+    # item 0's fourth boundary, as the map's clock starts at its first
+    # (oracle-check: after three quanta); 3 CPUs, forking at once
     mid_item = lambda seconds, done, left: done >= 3  # noqa: E731
     settings = ((1, pays), (2, lambda *_: True), (2, mid_item), (3, lambda *_: True))
     for cpus, rule in settings:
@@ -679,7 +680,7 @@ def test_cli_outputs_are_the_same_bytes_serial_and_forked(
         assert forks_made[3] == 2
     # item 0 runs once in every map, in the parent; the forking settings fork
     # at the boundary they name, the mid-item one with item 0's quanta left
-    for i, first in ((1, 0), (2, 2), (3, 0)):
+    for i, first in ((1, 0), (2, 3), (3, 0)):
         for runs in mapped[i]:
             assert len(runs) == 1
             assert runs[0] == [q >= first for q in range(len(runs[0]))]
@@ -832,6 +833,58 @@ def test_child_run_inside_another_runs_observer_matches_a_fresh_run():
     assert len(inner) == quanta
     for policy, report in inner:
         assert report == fresh[policy]
+
+
+@pytest.mark.parametrize("form", ["threads", "trace"])
+@pytest.mark.parametrize("penalty", [0, 1000])
+def test_forked_batch_continuing_from_one_start_matches_independent_runs(
+    tmp_path, monkeypatch, penalty, form
+):
+    # run_policies simulates the set-up and quantum 0 once, before the map,
+    # and every run, in this process or in a forked child that inherited
+    # the start, continues from a copy of it.  Thread 1 does not repeat.
+    threads = [
+        {"phases": [[700, 5], [1300, 1], [400, 7]]},
+        {"phases": [[2500, 6], [900, 2]], "repeat": False},
+        {"phases": [[300, 3], [300, 8], [1100, 0]]},
+        {"phases": [[5000, 4]]},
+        {"phases": [[600, 8], [600, 8], [1800, 2]]},
+    ]
+    doc = base_doc(
+        system={
+            "num_processors": 2,
+            "slots_per_processor": 3,
+            "mshrs_per_processor": 8,
+            "memory_latency": 100,
+            "quantum_cycles": 2000,
+            "window_cycles": 500,
+            "migration_penalty": penalty,
+        },
+        workload={"threads": threads},
+        policies=[p.value for p in Policy],
+        quanta=6,
+        seed=3,
+    )
+    config = c = load_experiment(write_config(tmp_path, doc))
+    if form == "trace":
+        save_trace(c.workloads, str(tmp_path / "threads.trace"))
+        doc["workload"] = {"trace": "threads.trace"}
+        config = load_experiment(write_config(tmp_path, doc))
+        assert config.workloads == c.workloads
+    independent = [run_simulation(c.system, c.workloads, p, c.seed, c.quanta) for p in c.policies]
+    starts = []
+    start = experiments.Start
+    monkeypatch.setattr(experiments, "Start", lambda *args: starts.append(1) or start(*args))
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for cpus in (1, 2, 3):
+        forking(monkeypatch, cpus=cpus)
+        forks.clear()
+        with leaves_nothing_behind():
+            assert run_policies(config) == independent
+        assert bool(forks) == (cpus > 1)
+    assert len(starts) == 3
 
 
 def test_child_exception_reaches_the_parent_with_its_type_and_message(monkeypatch):
