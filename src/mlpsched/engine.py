@@ -612,9 +612,10 @@ def run_simulation(
     for ``migration_penalty`` cycles while their in-flight requests drain on
     the old pool.  The report is deterministic in every argument.
 
-    ``start``, if given, must be a ``Start`` built for this ``config`` and
-    these ``workloads`` (a ``ValueError`` otherwise); the run then continues
-    from a copy of its quantum 0 and gives the report it would give without.
+    A run always continues from a copy of a ``Start``'s quantum 0, which it
+    builds itself unless ``start`` is given.  A given ``start`` must be
+    built for this ``config`` and these ``workloads`` (a ``ValueError``
+    otherwise), and the report is the same either way.
 
     ``observer``, if given, is called once per quantum, in order, with the
     quantum's record as soon as it is built, before the next quantum runs.
@@ -628,11 +629,9 @@ def run_simulation(
         raise ValueError(f"total_quanta must be >= 1, got {total_quanta}")
     if start is None:
         start = Start(config, workloads)
-        state = start._state  # built for this run alone, so it runs in place
     elif start.config != config or start.workloads != tuple(workloads):
         raise ValueError("start was built for another machine or other workloads")
-    else:
-        state = start._state.copy()
+    state = start._state.copy()
     mlp, completed, stalls = start._sample
 
     records: list[QuantumRecord] = []

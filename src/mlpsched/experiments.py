@@ -12,15 +12,16 @@ identical workloads and seeds, and emit schema-stable tables:
 
 Independent runs (the policies of a batch, every (point, policy) run of a
 sweep) go to forked processes, in shares of at most max(1, runs // CPUs)
-runs each; a batch simulates its set-up and quantum 0 once, before the
-map, and every run continues from a copy.  Both forking paths decide
-between quanta, with one rule (``_pays``): the map times the quanta of its
-first run after the first, and once the quanta left are worth a fork it
-forks the other shares from there, while that run goes on in the parent
-(``_forked_map``).  An oracle check scores each quantum while its run goes
-on, and once the decisions left are worth a fork it streams them to forked
-workers (``run_oracle_check``).  The results are the same whatever the CPU
-count; without ``os.fork`` everything runs in one process.
+runs each.  Each config's batch, and each sweep point's, simulates its
+set-up and quantum 0 once, before the map, and every run of it continues
+from a copy.  Both forking paths decide between quanta, with one rule
+(``_pays``): the map times the quanta of its first run after the first,
+and once the quanta left are worth a fork it forks the other shares from
+there, while that run goes on in the parent (``_forked_map``).  An oracle
+check scores each quantum while its run goes on, and once the decisions
+left are worth a fork it streams them to forked workers
+(``run_oracle_check``).  The results are the same whatever the CPU count;
+without ``os.fork`` everything runs in one process.
 
 Data files never embed timestamps, so identical inputs give identical bytes.
 Floats are written in shortest round-trip form (``str``).  Summary metrics
@@ -103,10 +104,12 @@ SWEEPABLE_FIELDS = _SYSTEM_FIELDS + ("seed", "quanta")
 
 _MAX_SEED = 1 << 64
 # What a config may ask for, refused before anything is padded or generated:
-# a run holds per-thread state for every one of the machine's K*L slots, and
-# the synthetic form draws every phase it lists.
+# a run holds per-thread state for every one of the machine's K*L slots, the
+# synthetic form draws every phase it lists, and a report keeps a record of
+# every thread in every quantum.
 _MAX_SLOTS = 1 << 16
 _MAX_SYNTHETIC_PHASES = 1 << 20
+_MAX_THREAD_QUANTA = 1 << 20
 
 
 def _fail(field: str, problem: str) -> ConfigError:
@@ -159,6 +162,13 @@ class ExperimentConfig(Value):
                 "system",
                 f"the machine has {_slots(self.system)} slots, more than {_MAX_SLOTS}",
             )
+        thread_quanta = self.quanta * self.system.num_threads
+        if thread_quanta > _MAX_THREAD_QUANTA:
+            raise _fail(
+                "quanta",
+                f"quanta * K*L = {_shown(self.quanta)}*{self.system.num_threads} = "
+                f"{_shown(thread_quanta)} thread-quanta, more than {_MAX_THREAD_QUANTA}",
+            )
         with _naming("workload"):
             pad_workloads(self.workloads, self.system)
 
@@ -195,9 +205,9 @@ def _as_bool(value, field: str) -> bool:
     return value
 
 
-def _as_range(value, field: str) -> tuple[int, int]:
+def _as_range(value, field: str, shape: str = "[min, max]") -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2:
-        raise _fail(field, f"expected [min, max], got {_shown(value)}")
+        raise _fail(field, f"expected {shape}, got {_shown(value)}")
     return (_as_int(value[0], field), _as_int(value[1], field))
 
 
@@ -224,7 +234,7 @@ def _parse_phases(raw, field: str) -> tuple[Phase, ...]:
         raise _fail(field, "expected a non-empty list of [duration, demand] pairs")
     phases = []
     for i, pair in enumerate(raw):
-        duration, demand = _as_range(pair, f"{field}[{i}]")
+        duration, demand = _as_range(pair, f"{field}[{i}]", "[duration, demand]")
         with _naming(f"{field}[{i}]"):
             phases.append(Phase(duration=duration, demand=demand))
     return tuple(phases)
@@ -493,27 +503,31 @@ def _forked_map(fn: Callable, items: Sequence, steps: int) -> list:
         raise
 
 
-def run_policies(config: ExperimentConfig) -> list[SimulationReport]:
-    """Run every listed policy on identical workloads and seed.
+def _batch(config: ExperimentConfig) -> list[tuple[ExperimentConfig, Start, Policy]]:
+    """One run per listed policy, all sharing one ``Start``.
 
-    The runs share their set-up and quantum 0, which no policy has decided
-    yet: that ``Start`` is simulated once, before the map, and every run,
-    in this process or a forked child, continues from a copy of it.
+    Every run of a config starts from the row-major placement on the same
+    workloads, so its set-up and quantum 0, which no policy has decided
+    yet, are simulated once, here, before any map, and every run, in this
+    process or a forked child that inherited the start, continues from a
+    copy of it.
     """
     start = Start(config.system, config.workloads)
-    return _forked_map(
-        lambda policy, observer: run_simulation(
-            config.system,
-            config.workloads,
-            policy,
-            config.seed,
-            config.quanta,
-            observer,
-            start=start,
-        ),
-        config.policies,
-        config.quanta * len(config.policies),
+    return [(config, start, policy) for policy in config.policies]
+
+
+def _run(run: tuple[ExperimentConfig, Start, Policy], observer) -> SimulationReport:
+    """One run of a ``_batch``, continued from its batch's start."""
+    config, start, policy = run
+    return run_simulation(
+        config.system, config.workloads, policy, config.seed, config.quanta, observer, start=start
     )
+
+
+def run_policies(config: ExperimentConfig) -> list[SimulationReport]:
+    """Run every listed policy on identical workloads and seed, continuing
+    each from the one start of the config's ``_batch``."""
+    return _forked_map(_run, _batch(config), config.quanta * len(config.policies))
 
 
 def write_quanta_csv(report: SimulationReport, path: str) -> None:
@@ -599,11 +613,13 @@ def run_sweep(config: ExperimentConfig) -> tuple[tuple[str, ...], list[tuple]]:
     """Cartesian product over the swept values; rows in (point, policy) order.
 
     Returns (header, rows).  Each point is a new ``ExperimentConfig``, so it
-    is checked exactly as a loaded config is, and runs as ``run_policies``
-    runs a config.  Every point, its workloads against its machine
-    included, is checked before any runs, and one that violates an
-    invariant aborts the sweep with the offending values named.  The runs
-    of all points form one ``_forked_map``, so a sweep forks at most once.
+    is checked exactly as a loaded config is, and its policies continue
+    from one shared start, as ``run_policies`` runs a config (``_batch``).
+    Every point, its workloads against its machine included, is checked
+    before any start is built, and one that violates an invariant aborts
+    the sweep with the offending values named.  The runs of all points
+    form one ``_forked_map``, so a sweep forks at most once, and each run
+    is measured in the process that ran it.
     """
     if not config.sweep:
         raise _fail("sweep", "required for a sweep run")
@@ -624,19 +640,18 @@ def run_sweep(config: ExperimentConfig) -> tuple[tuple[str, ...], list[tuple]]:
             )
         except ConfigError as exc:
             raise ConfigError(f"sweep point ({label}): {exc}") from exc
-        points.append((point, point_config))
+        points.append((tuple(point.values()), point_config))
 
-    def measured(run: tuple[dict, ExperimentConfig, Policy], observer) -> PolicyMetrics:
-        _, c, policy = run
-        report = run_simulation(c.system, c.workloads, policy, c.seed, c.quanta, observer)
-        return measure(report, config.warmup_quanta)
-
-    runs = [(point, c, policy) for point, c in points for policy in c.policies]
-    metrics = _forked_map(measured, runs, sum(c.quanta for _, c, _ in runs))
+    runs = [run for _, c in points for run in _batch(c)]
+    metrics = _forked_map(
+        lambda run, observer: measure(_run(run, observer), config.warmup_quanta),
+        runs,
+        sum(c.quanta for c, _, _ in runs),
+    )
+    swept = [values for values, c in points for _ in c.policies]
     return header, [
-        tuple(point[k] for k in keys)
-        + (m.policy.value, m.throughput, m.total_stalls, m.mean_gap, m.mean_oversubscription)
-        for (point, _, _), m in zip(runs, metrics)
+        values + (m.policy.value, m.throughput, m.total_stalls, m.mean_gap, m.mean_oversubscription)
+        for values, m in zip(swept, metrics)
     ]
 
 

@@ -172,6 +172,13 @@ def synthetic(**fields):
     return small_doc(workload={"synthetic": {"n_threads": 4, **fields}})
 
 
+def one_slot(**overrides):
+    """``small_doc`` on a 1x1 machine, so ``quanta`` is the run's thread-quanta."""
+    doc = small_doc(workload={"demands": [3]}, **overrides)
+    doc["system"].update(num_processors=1, slots_per_processor=1)
+    return doc
+
+
 @pytest.mark.parametrize(
     "command, doc, field",
     [
@@ -286,8 +293,9 @@ def test_bad_system_value_names_the_system_field(tmp_path, capsys, fields, probl
             "workload.synthetic.phases_per_thread",
             "1048577",
         ),
+        (one_slot(quanta=1_048_577), "quanta", "1048577"),
     ],
-    ids=["slots", "synthetic_phases"],
+    ids=["slots", "synthetic_phases", "thread_quanta"],
 )
 def test_config_one_past_a_work_bound_is_refused_before_padding_or_generating(
     tmp_path, capsys, monkeypatch, doc, field, count
@@ -299,6 +307,24 @@ def test_config_one_past_a_work_bound_is_refused_before_padding_or_generating(
     err = capsys.readouterr().err
     assert err.startswith(f"error: config field '{field}': ")
     assert f" {count} " in err and err.count("\n") == 1
+
+
+def test_a_sweep_point_one_past_the_thread_quanta_bound_is_refused_before_any_start(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(experiments, "Start", lambda *_: pytest.fail("a start was built"))
+    cfg = write_config(tmp_path, one_slot(sweep={"quanta": [3, 1_048_577]}))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: sweep point (quanta=1048577): config field 'quanta': "
+        "quanta * K*L = 1048577*1 = 1048577 thread-quanta, more than 1048576\n"
+    )
+
+
+def test_a_config_at_the_thread_quanta_bound_loads(tmp_path):
+    # loaded only, never run: the bound itself is allowed
+    config = experiments.load_experiment(write_config(tmp_path, one_slot(quanta=1 << 20)))
+    assert config.quanta * config.system.num_threads == 1 << 20
 
 
 def test_long_unknown_key_is_shown_cut_short(tmp_path, capsys):

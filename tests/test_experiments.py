@@ -279,6 +279,14 @@ def test_load_rejects_bad_sweep_key(tmp_path):
         ({"policies": []}, r"'policies': must list at least one policy"),
         ({"quanta": 0}, r"'quanta': must be >= 1, got 0"),
         ({"sweep": {"seed": []}}, r"'sweep.seed': expected a non-empty list of integers"),
+        (
+            {"workload": {"threads": [{"phases": [[100]]}]}},
+            r"'workload.threads\[0\].phases\[0\]': expected \[duration, demand\], got \[100\]",
+        ),
+        (
+            {"workload": {"synthetic": {"n_threads": 2, "demand_range": [3]}}},
+            r"'workload.synthetic.demand_range': expected \[min, max\], got \[3\]",
+        ),
     ],
 )
 def test_load_refuses_bad_field_naming_it(tmp_path, overrides, expected):
@@ -885,6 +893,63 @@ def test_forked_batch_continuing_from_one_start_matches_independent_runs(
             assert run_policies(config) == independent
         assert bool(forks) == (cpus > 1)
     assert len(starts) == 3
+
+
+def test_forked_sweep_continues_each_point_from_one_start(tmp_path, monkeypatch):
+    # run_sweep builds one start per point, before the map, and every
+    # (point, policy) run, in this process or in a forked child that
+    # inherited the point's start, continues from a copy of it.
+    doc = base_doc(
+        system={
+            "num_processors": 2,
+            "slots_per_processor": 3,
+            "mshrs_per_processor": 8,
+            "memory_latency": 100,
+            "quantum_cycles": 2000,
+            "window_cycles": 500,
+        },
+        workload={
+            "threads": [
+                {"phases": [[700, 5], [1300, 1], [400, 7]]},
+                {"phases": [[2500, 6], [900, 2]], "repeat": False},
+                {"phases": [[300, 3], [300, 8], [1100, 0]]},
+                {"phases": [[5000, 4]]},
+            ]
+        },
+        policies=["serpentine", "random", "static"],
+        quanta=5,
+        warmup_quanta=1,
+        seed=3,
+        sweep={"migration_penalty": [0, 1000], "quanta": [4, 6]},
+    )
+    config = load_experiment(write_config(tmp_path, doc))
+    independent = []
+    for penalty, quanta in itertools.product([0, 1000], [4, 6]):
+        system = replace(config.system, migration_penalty=penalty)
+        for policy in config.policies:
+            report = run_simulation(system, config.workloads, policy, config.seed, quanta)
+            m = measure(report, config.warmup_quanta)
+            independent.append(
+                (penalty, quanta, policy.value, m.throughput, m.total_stalls)
+                + (m.mean_gap, m.mean_oversubscription)
+            )
+    starts = []
+    start = experiments.Start
+    monkeypatch.setattr(experiments, "Start", lambda *args: starts.append(args) or start(*args))
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for cpus in (1, 2, 3):
+        forking(monkeypatch, cpus=cpus)
+        forks.clear()
+        starts.clear()
+        with leaves_nothing_behind():
+            header, rows = run_sweep(config)
+        assert header[:3] == ("migration_penalty", "quanta", "policy")
+        assert rows == independent
+        assert bool(forks) == (cpus > 1)
+        # one start per point, each for that point's machine
+        assert [args[0].migration_penalty for args in starts] == [0, 0, 1000, 1000]
 
 
 def test_child_exception_reaches_the_parent_with_its_type_and_message(monkeypatch):

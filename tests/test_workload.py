@@ -190,18 +190,24 @@ def test_load_trace_names_the_file_and_offset_of_a_byte_that_is_not_utf8(tmp_pat
     not hasattr(sys, "get_int_max_str_digits"), reason="the interpreter has no digit limit"
 )
 def test_load_trace_names_an_integer_past_the_digit_limit(tmp_path):
+    # a sign does not make an over-long integer any less an integer
     path = tmp_path / "bad.trace"
     digits = "9" * (sys.get_int_max_str_digits() + 700)
-    path.write_text(
-        TRACE_VERSION_LINE + "\nthread,phase,duration,demand,repeat\n0,0," + digits + ",4,1\n"
-    )
-    with pytest.raises(TraceError) as err:
-        load_trace(path)
-    message = str(err.value)
-    assert message.startswith(
-        "line 3: duration is past the interpreter's integer digit limit, got '999"
-    )
-    assert len(message) < 120
+    for sign in ("", "+", "-"):
+        path.write_text(
+            TRACE_VERSION_LINE
+            + "\nthread,phase,duration,demand,repeat\n0,0,"
+            + sign
+            + digits
+            + ",4,1\n"
+        )
+        with pytest.raises(TraceError) as err:
+            load_trace(path)
+        message = str(err.value)
+        assert message.startswith(
+            f"line 3: duration is past the interpreter's integer digit limit, got '{sign}999"
+        )
+        assert len(message) < 120
 
 
 def test_load_trace_rejects_gap_in_phase_numbering(tmp_path):
