@@ -39,11 +39,15 @@ _SHOWN_CHARS = 60
 def _shown(value) -> str:
     """A bad input value for an error message, at most _SHOWN_CHARS long.
 
-    ``reprlib`` caps nesting depth, item counts and string and integer
-    lengths, so a huge or deeply nested value is never rendered in full
-    before it is cut.
+    ``reprlib`` caps nesting depth, item counts and string lengths, so a
+    huge or deeply nested value is never rendered in full before it is cut.
+    It renders an integer whole first, so one past the interpreter's digit
+    limit, as a product of two config values can be, is shown by its size.
     """
-    return _cut(reprlib.repr(value))
+    try:
+        return _cut(reprlib.repr(value))
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"
 
 
 def _cut(text: str) -> str:

@@ -105,11 +105,14 @@ SWEEPABLE_FIELDS = _SYSTEM_FIELDS + ("seed", "quanta")
 _MAX_SEED = 1 << 64
 # What a config may ask for, refused before anything is padded or generated:
 # a run holds per-thread state for every one of the machine's K*L slots, the
-# synthetic form draws every phase it lists, and a report keeps a record of
-# every thread in every quantum.
+# synthetic form draws every phase it lists, a report keeps a record of
+# every thread in every quantum, and every step end a run passes is an event
+# (1.3-2.6 us each on a 2-vCPU host, CPython 3.11), where idle cycles cost
+# almost nothing.
 _MAX_SLOTS = 1 << 16
 _MAX_SYNTHETIC_PHASES = 1 << 20
 _MAX_THREAD_QUANTA = 1 << 20
+_MAX_STEP_ENDS = 1 << 22
 
 
 def _fail(field: str, problem: str) -> ConfigError:
@@ -169,8 +172,36 @@ class ExperimentConfig(Value):
                 f"quanta * K*L = {_shown(self.quanta)}*{self.system.num_threads} = "
                 f"{_shown(thread_quanta)} thread-quanta, more than {_MAX_THREAD_QUANTA}",
             )
+        cycles = self.quanta * self.system.quantum_cycles
+        # A step lasts a cycle or more, so a thread ends at most one a cycle;
+        # only a run that might pass the bound counts its steps.
+        busy = sum(w.repeat and len(w.phases) > 1 for w in self.workloads)
+        if cycles * busy > _MAX_STEP_ENDS:
+            ends = _step_ends(self.workloads, cycles)
+            if ends > _MAX_STEP_ENDS:
+                raise _fail(
+                    "quanta",
+                    f"a run of quanta * quantum_cycles = {_shown(self.quanta)}*"
+                    f"{_shown(self.system.quantum_cycles)} = {_shown(cycles)} cycles passes "
+                    f"{_shown(ends)} step ends, more than {_MAX_STEP_ENDS}",
+                )
         with _naming("workload"):
             pad_workloads(self.workloads, self.system)
+
+
+def _step_ends(workloads: Sequence[ThreadWorkload], cycles: int) -> int:
+    """The step ends a run of ``cycles`` cycles passes, about: over the
+    repeating threads with two or more steps (runs of consecutive phases of
+    one demand, as the engine merges them), the run's cycles divided by the
+    thread's lap, times its steps per lap."""
+    demand_of, duration_of = operator.attrgetter("demand"), operator.attrgetter("duration")
+    ends = 0
+    for w in workloads:
+        if w.repeat:
+            steps = len(list(itertools.groupby(map(demand_of, w.phases))))
+            if steps > 1:
+                ends += cycles * steps // sum(map(duration_of, w.phases))
+    return ends
 
 
 def _section(

@@ -156,21 +156,15 @@ def save_trace(workloads: Iterable[ThreadWorkload], path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-# Row tails (the ``duration,demand,repeat`` text) that one load keeps.  A
-# trace that repeats its tails holds few distinct ones (905 in the 25,600
-# rows of the benchmark's dense trace), and they all fit.  A trace whose
-# tails never repeat gains nothing from the cache, so it stops growing here
-# (0.57 MB at 4,096 tails with six-digit durations) whatever the trace's
-# length.  One constant serves both kinds, so it is not a setting.
+# Row tails (the ``duration,demand,repeat`` text) that one load keeps: the
+# loader's only cache, so what a load holds beside the file's lines and the
+# workloads it returns is bounded.  A trace that repeats its tails holds few
+# distinct ones (905 in the 25,600 rows of the benchmark's dense trace), and
+# they all fit.  A trace whose tails never repeat gains nothing from the
+# cache, so it stops growing here (0.57 MB at 4,096 tails with six-digit
+# durations) whatever the trace's length.  One constant serves both kinds,
+# so it is not a setting.
 _TAIL_CACHE_SIZE = 4096
-
-
-class _IntCache(dict):
-    """Field text -> int, converting each distinct text once."""
-
-    def __missing__(self, raw: str) -> int:
-        value = self[raw] = int(raw)
-        return value
 
 
 def _unpack_error(line: str, line_no: int) -> TraceError:
@@ -207,8 +201,7 @@ def load_trace(path: str) -> tuple[ThreadWorkload, ...]:
 
     Each distinct row tail, the ``duration,demand,repeat`` text, is parsed
     and checked once, for up to ``_TAIL_CACHE_SIZE`` tails; a row whose tail
-    is past that bound is parsed and checked in full.  Rows with equal
-    duration and demand share one ``Phase``.
+    is past that bound is parsed and checked in full.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -223,24 +216,23 @@ def load_trace(path: str) -> tuple[ThreadWorkload, ...]:
     if len(lines) < 2 or tuple(lines[1].strip().split(",")) != TRACE_FIELDS:
         raise TraceError(f"line 2: expected header {','.join(TRACE_FIELDS)!r}")
 
-    as_int = _IntCache().__getitem__
     tails: dict[str, tuple[Phase, int]] = {}  # checked row tail -> its Phase and flag
-    shared: dict[tuple[int, int], Phase] = {}
     phases: dict[int, list[Phase]] = {}
     repeats: dict[int, int] = {}
     # The last row's thread text, phase list and flag: a row that goes on
-    # with them at the next phase number only appends its Phase.
+    # with them at the next phase number, written plainly, only appends its
+    # Phase.  Any other row, another spelling of that number included, takes
+    # the general path.
     run_text, run, run_flag = None, [], None
     for line_no, line in enumerate(lines[2:], start=3):
         try:
             thread_raw, index_raw, tail = line.split(",", 2)
-            index = as_int(index_raw)
             entry = tails.get(tail)
             if (entry is not None and thread_raw == run_text
-                    and entry[1] == run_flag and index == len(run)):
+                    and entry[1] == run_flag and index_raw == str(len(run))):
                 run.append(entry[0])
                 continue
-            thread = as_int(thread_raw)
+            thread, index = int(thread_raw), int(index_raw)
             if entry is None:
                 duration, demand, flag = map(int, tail.split(","))
         except ValueError:
@@ -250,12 +242,10 @@ def load_trace(path: str) -> tuple[ThreadWorkload, ...]:
         if thread < 0:
             raise TraceError(f"line {line_no}: thread must be >= 0, got {_shown(thread)}")
         if entry is None:  # the tail's own checks, before it is kept
-            phase = shared.get((duration, demand))
-            if phase is None:
-                try:
-                    phase = shared[duration, demand] = Phase(duration, demand)
-                except ValueError as exc:
-                    raise TraceError(f"line {line_no}: {exc}") from exc
+            try:
+                phase = Phase(duration, demand)
+            except ValueError as exc:
+                raise TraceError(f"line {line_no}: {exc}") from exc
             if flag not in (0, 1):
                 raise TraceError(f"line {line_no}: repeat must be 0 or 1, got {_shown(flag)}")
             if len(tails) < _TAIL_CACHE_SIZE:

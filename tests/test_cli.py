@@ -179,6 +179,15 @@ def one_slot(**overrides):
     return doc
 
 
+def two_steps(cycles, **overrides):
+    """``one_slot`` running one quantum of ``cycles`` cycles on one thread of
+    two one-cycle steps, so the run passes one step end a cycle."""
+    doc = one_slot(quanta=1, **overrides)
+    doc["system"].update(quantum_cycles=cycles, window_cycles=1)
+    doc["workload"] = {"threads": [{"phases": [[1, 1], [1, 2]]}]}
+    return doc
+
+
 @pytest.mark.parametrize(
     "command, doc, field",
     [
@@ -238,6 +247,26 @@ def test_config_integer_past_digit_limit_exits_one_naming_path(tmp_path, capsys)
     assert err.count("\n") == 1
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="the interpreter has no digit limit"
+)
+def test_a_product_past_the_digit_limit_is_shown_by_its_size(tmp_path, capsys):
+    # each value parses, but the product a bound reports is too long to
+    # convert to text; the error still names the field, on one short line
+    value = 10 ** (sys.get_int_max_str_digits() - 1)
+    thread_quanta = with_system(num_processors=16, slots_per_processor=1)
+    thread_quanta["quanta"] = value
+    step_ends = two_steps(value)
+    step_ends["quanta"] = 16
+    for doc in (thread_quanta, step_ends):
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'quanta': ")
+        assert f" = <{(16 * value).bit_length()}-bit integer> " in err
+        assert err.count("\n") == 1 and len(err) < 300, err
+
+
 def test_config_not_utf8_exits_one_naming_path(tmp_path, capsys):
     cfg = tmp_path / "exp.json"
     cfg.write_bytes(b'{"seed": "\xff"}')
@@ -294,8 +323,10 @@ def test_bad_system_value_names_the_system_field(tmp_path, capsys, fields, probl
             "1048577",
         ),
         (one_slot(quanta=1_048_577), "quanta", "1048577"),
+        (two_steps((1 << 22) + 1), "quanta", "4194305"),
+        (two_steps(10**12), "quanta", "1000000000000"),
     ],
-    ids=["slots", "synthetic_phases", "thread_quanta"],
+    ids=["slots", "synthetic_phases", "thread_quanta", "step_ends", "step_ends_far_past"],
 )
 def test_config_one_past_a_work_bound_is_refused_before_padding_or_generating(
     tmp_path, capsys, monkeypatch, doc, field, count
@@ -325,6 +356,37 @@ def test_a_config_at_the_thread_quanta_bound_loads(tmp_path):
     # loaded only, never run: the bound itself is allowed
     config = experiments.load_experiment(write_config(tmp_path, one_slot(quanta=1 << 20)))
     assert config.quanta * config.system.num_threads == 1 << 20
+
+
+def test_a_sweep_point_one_past_the_step_end_bound_is_refused_before_any_start(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(experiments, "Start", lambda *_: pytest.fail("a start was built"))
+    cfg = write_config(tmp_path, two_steps(4, sweep={"quantum_cycles": [4, 4_194_305]}))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: sweep point (quantum_cycles=4194305): config field 'quanta': a run of "
+        "quanta * quantum_cycles = 1*4194305 = 4194305 cycles passes 4194305 step ends, "
+        "more than 4194304\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "phases, repeat, cycles, ends",
+    [
+        ([[1, 1], [1, 2]], True, 1 << 22, 1 << 22),  # one step end a cycle
+        ([[1 << 9, 1], [1 << 9, 2]], True, 1 << 31, 1 << 22),  # two a 1,024-cycle lap
+        ([[1, 1], [1, 1]], True, 1 << 40, 0),  # one step, held for the whole run
+        ([[1, 1], [1, 2]], False, 1 << 40, 0),  # steps that end once, then idle
+    ],
+    ids=["one_step_end_a_cycle", "long_steps", "constant", "no_repeat"],
+)
+def test_a_run_at_or_inside_the_step_end_bound_loads(tmp_path, phases, repeat, cycles, ends):
+    # loaded only, never run: the bound counts step ends, not cycles
+    doc = two_steps(cycles)
+    doc["workload"] = {"threads": [{"phases": phases, "repeat": repeat}]}
+    config = experiments.load_experiment(write_config(tmp_path, doc))
+    assert experiments._step_ends(config.workloads, cycles) == ends
 
 
 def test_long_unknown_key_is_shown_cut_short(tmp_path, capsys):

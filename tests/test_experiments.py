@@ -1,6 +1,7 @@
 """Experiment configs, metrics, tables, oracle checks."""
 
 import collections
+import copy
 import csv
 import itertools
 import json
@@ -14,6 +15,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mlpsched._fork as _fork
 import mlpsched.engine as engine
@@ -564,6 +566,56 @@ def test_repo_configs_parse_and_pad():
         for combo in itertools.product(*(values for _, values in config.sweep)):
             point = {k: v for k, v in zip(keys, combo) if k not in ("seed", "quanta")}
             pad_workloads(config.workloads, replace(config.system, **point))
+
+
+# Load-path fuzz: the shipped configs with values replaced and keys deleted.
+# Every value here is one that a load-time check refuses before anything is
+# allocated for it, or one that costs nothing to load; the configs are only
+# loaded, never run, since a config that loads may run for minutes.
+
+SHIPPED_DOCS = {p.name: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
+FUZZ_VALUES = (
+    True, False, None, "", "x", "serpentine", [], [1], [1, 2], ["x"], {}, float("nan"),
+    -1, -(1 << 63), 0, 1, 1 << 31, 1 << 63, 1 << 64,
+)
+
+
+def _places(node, path=()):
+    """Every place in a JSON document, as the path of keys and indices to it."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _places(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    doc = copy.deepcopy(SHIPPED_DOCS[draw(st.sampled_from(sorted(SHIPPED_DOCS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_places(doc))))
+        value = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mutated_configs())
+def test_a_mutated_shipped_config_loads_or_names_a_field(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        load_experiment(str(path))
+    except ConfigError as exc:
+        assert str(exc).startswith("config field '"), str(exc)
 
 
 # forked map

@@ -270,12 +270,14 @@ def test_trace_fuzz_round_trip(tmp_path):
         assert load_trace(path) == workloads
 
 
-def test_rows_with_equal_duration_and_demand_share_one_phase(tmp_path):
+def test_rows_with_equal_tails_share_one_phase(tmp_path):
+    # Rows whose ``duration,demand,repeat`` text is equal share the Phase of
+    # the tail cache; rows of different threads included.
     path = tmp_path / "shared.trace"
     save_trace(
         (
             ThreadWorkload(0, (Phase(7, 2), Phase(9, 1), Phase(7, 2))),
-            ThreadWorkload(1, (Phase(9, 1), Phase(7, 2)), repeat=False),
+            ThreadWorkload(1, (Phase(9, 1), Phase(7, 2))),
         ),
         path,
     )
@@ -586,3 +588,20 @@ def test_loader_matches_reference_when_a_thread_resumes_after_another(tmp_path):
             )
         else:
             assert reported(path).startswith(f"line {len(head) + len(rows)}: "), name
+
+
+def test_loader_matches_reference_on_respelled_phase_numbers_within_a_run(tmp_path):
+    # A row goes on with the last row's thread by appending only when its
+    # phase number is written plainly; any other spelling takes the general
+    # path, which parses and checks the number as the reference does.
+    head = [TRACE_VERSION_LINE, HEADER] + [f"0,{i},5,1,1" for i in range(10)]
+    accepted = ("10", "+10", " 10", "10\t", "010", "1_0")
+    for case, index in enumerate(accepted + ("9", "+9", "11", "-10", "1 0", "0x0a")):
+        path = tmp_path / f"run{case}.trace"
+        path.write_text("\n".join(head + [f"0,{index},5,1,1"]) + "\n", encoding="utf-8")
+        if index in accepted:
+            assert load_trace(path) == load_trace_reference(path) == (
+                ThreadWorkload(0, (Phase(5, 1),) * 11),
+            )
+        else:
+            assert reported(path).startswith(f"line {len(head) + 1}: "), index
