@@ -118,18 +118,19 @@ fast-forward.  A rule that lets a jump cross step ends a saturated pool
 cannot see (proposed in ``ROADMAP.md``) would be rule 6.
 
 *Boundary state.*  A run is a set-up step and then one boundary-to-boundary
-step per quantum (``_quantum``) over an explicit state (``_State``): the
-cycle and the last placement; per thread, its place in its tuple of
-steps, the current step's end and demand, its freeze, cap and shortfall;
-per pool, the MSHRs it holds, the requests it issued and its in-flight
-groups; and the cap changes, the FIFO and the parked groups.  The step
-binds the state's lists to locals when its quantum starts and stores back
-what it rebinds at the boundary, so the cycle loop works on locals, and
-the state costs O(N + in-flight) per quantum.  A ``Start`` holds the state
-at the end of quantum 0 under the row-major placement, before any policy
-decides, and that quantum's sample.  Every run on one machine and one
+step per quantum (``_quantum``) over one explicit state (``Start``): its
+machine, its workloads and the sample of the quantum that ended at its
+boundary; the cycle and the last placement; per thread, its place in its
+tuple of steps, the current step's end and demand, its freeze, cap and
+shortfall; per pool, the MSHRs it holds, the requests it issued and its
+in-flight groups; and the cap changes, the FIFO and the parked groups.
+The step binds the state's lists to locals when its quantum starts and
+stores back what it rebinds at the boundary, so the cycle loop works on
+locals, and the state costs O(N + in-flight) per quantum.  Built, a
+``Start`` is the state at the end of quantum 0 under the row-major
+placement, before any policy decides.  Every run on one machine and one
 list of workloads passes through it, so a batch simulates it once and
-each run continues from a copy (``_State.copy``), which shares only the
+each run continues from a copy (``Start.copy``), which shares only the
 step tuples with it.
 
 Everything is integer arithmetic over plain lists, so a run is bitwise
@@ -250,47 +251,62 @@ def _move_later(held, parked, completions) -> None:
     held.extend(sorted(groups))
 
 
-class _State:
+def _steps(workload: ThreadWorkload) -> tuple:
+    """A thread's phases as a tuple of (duration, demand) steps, consecutive
+    phases of one demand merged into one step: a repeating thread cycles
+    through its steps, one that does not repeat ends in an idle step that
+    never ends, and a constant thread (one repeating step) holds its demand
+    forever."""
+    duration_of = attrgetter("duration")
+    steps = [
+        (sum(map(duration_of, run)), level)
+        for level, run in groupby(workload.phases, attrgetter("demand"))
+    ]
+    if not workload.repeat:
+        steps.append((math.inf, 0))
+    elif len(steps) == 1:
+        steps = [(math.inf, steps[0][1])]
+    return tuple(steps)
+
+
+class Start:
     """The engine's state at a quantum boundary: everything one quantum
     hands on to the next.
 
-    ``cycle`` is the boundary and ``schedule`` the placement of the quantum
-    that ended there.  Per thread: ``steps``, its step tuple; ``pos``, its
-    place in it; ``next_end`` and ``demand``, the current step's end and
-    demand; ``frozen``, ``cap``, ``short`` and ``carried``.  Per pool:
-    ``used``, ``pool_issued`` and ``held``.  And the run's sorted
-    ``cap_changes``, its FIFO ``inflight`` and its ``parked`` groups.  Built,
-    it is the state at cycle 0 under the row-major placement, before any
-    quantum runs (the set-up step).
+    ``config`` is the machine, ``workloads`` the threads as given, before
+    padding, and ``sample`` the (sampled counters, retired requests, stall
+    cycles) of the quantum that ended at the boundary.  ``cycle`` is the
+    boundary and ``schedule`` the placement of that quantum.  Per thread:
+    ``steps``, its step tuple; ``pos``, its place in it; ``next_end`` and
+    ``demand``, the current step's end and demand; ``frozen``, ``cap``,
+    ``short`` and ``carried``.  Per pool: ``used``, ``pool_issued`` and
+    ``held``.  And the run's sorted ``cap_changes``, its FIFO ``inflight``
+    and its ``parked`` groups.
+
+    ``Start(config, workloads)`` checks and pads the workloads, builds the
+    state at cycle 0 under the row-major placement (the set-up step) and
+    runs quantum 0, so it is a batch's shared start: every run on one
+    machine and one list of workloads simulates the same set-up and the
+    same quantum 0, and only the decision at its end differs.
+    ``run_simulation(..., start=start)`` continues from a copy of it, so one
+    start serves any number of runs (the step tuples are the only thing
+    they share) and is never changed by them.
     """
 
     __slots__ = (
-        "cycle", "schedule", "steps", "pos", "next_end", "demand", "frozen", "cap", "short",
-        "carried", "used", "pool_issued", "held", "cap_changes", "inflight", "parked",
+        "config", "workloads", "sample", "cycle", "schedule", "steps", "pos", "next_end",
+        "demand", "frozen", "cap", "short", "carried", "used", "pool_issued", "held",
+        "cap_changes", "inflight", "parked",
     )
 
     def __init__(self, config: SystemConfig, workloads: Sequence[ThreadWorkload]) -> None:
         n = config.num_threads
         k = config.num_processors
+        self.config = config
+        self.workloads = tuple(workloads)
         self.cycle = 0
         self.schedule = initial_schedule(config)
-        # Each thread's phases as a tuple of (duration, demand) steps,
-        # consecutive phases of one demand merged into one step: a repeating
-        # thread cycles through its steps, one that does not repeat ends in
-        # an idle step that never ends, and a constant thread (one repeating
-        # step) holds its demand forever.
-        steps = []
-        duration_of, demand_of = attrgetter("duration"), attrgetter("demand")
-        for w in workloads:
-            own = [
-                (sum(map(duration_of, run)), level) for level, run in groupby(w.phases, demand_of)
-            ]
-            if not w.repeat:
-                own.append((math.inf, 0))
-            elif len(own) == 1:
-                own = [(math.inf, own[0][1])]
-            steps.append(tuple(own))
-        self.steps = tuple(steps)
+        self.steps = steps = tuple(map(_steps, pad_workloads(self.workloads, config)))
         self.pos = [0] * n
         self.next_end, self.demand = map(list, zip(*[own[0] for own in steps]))
         self.frozen = [0] * n  # a migrated thread may not issue before this cycle
@@ -335,22 +351,23 @@ class _State:
             (end, t) for t, end in enumerate(self.next_end) if end < math.inf
         )
         self.cap_changes.append((math.inf, n))
+        _quantum(self, self.schedule)
 
-    def copy(self) -> _State:
+    def copy(self) -> Start:
         """The same state, sharing no mutable list with this one.
 
-        Only the step tuples are shared.  Each in-flight group becomes one
-        new list that the copy's FIFO, ``parked`` and ``held`` share as this
-        state's do, so a jump in the copy voids the copy's entry alone.
-        Groups ``held`` still lists after they retired are left out, as
-        its readers would drop them.  No entry is void at a boundary: a
-        jump voids only entries due before the end of its span.
+        Only the step tuples and the values that cannot change are shared.
+        Each in-flight group becomes one new list that the copy's FIFO,
+        ``parked`` and ``held`` share as this state's do, so a jump in the
+        copy voids the copy's entry alone.  Groups ``held`` still lists
+        after they retired are left out, as its readers would drop them.  No
+        entry is void at a boundary: a jump voids only entries due before
+        the end of its span.
         """
         twin = {id(g): [g[0], g[1], g[2][:]] for g in chain(self.inflight, self.parked)}
-        other = _State.__new__(_State)
-        other.cycle = self.cycle
-        other.schedule = self.schedule
-        other.steps = self.steps
+        other = Start.__new__(Start)
+        for name in ("config", "workloads", "sample", "cycle", "schedule", "steps"):
+            setattr(other, name, getattr(self, name))
         for name in ("pos", "next_end", "demand", "frozen", "cap", "short", "carried", "used",
                      "pool_issued", "cap_changes"):
             setattr(other, name, getattr(self, name)[:])
@@ -363,16 +380,18 @@ class _State:
         return other
 
 
-def _quantum(state: _State, config: SystemConfig, schedule: Schedule) -> tuple:
+def _quantum(state: Start, schedule: Schedule) -> None:
     """Run one quantum under ``schedule`` from the boundary ``state`` is at,
-    and leave ``state`` at the next boundary: the boundary-to-boundary step.
+    on ``state``'s machine, and leave ``state`` at the next boundary: the
+    boundary-to-boundary step.
 
     Threads whose processor differs from ``state.schedule``'s are frozen
     first, for ``migration_penalty`` cycles.  The step works on locals
     bound to ``state``'s lists, which it changes in place, and stores back
-    what it rebinds.  Returns the quantum's sampled counters and each
-    thread's retired requests and stall cycles.
+    what it rebinds, the quantum's ``sample`` included: its sampled
+    counters and each thread's retired requests and stall cycles.
     """
+    config = state.config
     n = config.num_threads
     k = config.num_processors
     l = config.slots_per_processor
@@ -566,30 +585,7 @@ def _quantum(state: _State, config: SystemConfig, schedule: Schedule) -> tuple:
     state.schedule = schedule
     window = config.window_cycles
     mlp = tuple((a - b) / window for a, b in zip(occ, window_base))
-    return mlp, tuple(completed), tuple(stalls)
-
-
-class Start:
-    """A batch's shared start: the engine's state at the end of quantum 0
-    under the row-major placement, before any policy decides, with that
-    quantum's sample.
-
-    Every run on one machine and one list of workloads starts from the
-    row-major placement, so all of them simulate the same set-up and the
-    same quantum 0; only the decision at its end differs.  ``Start(config,
-    workloads)`` checks and pads the workloads, builds the step tuples and
-    runs quantum 0 once; ``run_simulation(..., start=start)`` continues
-    from a copy of it, so one start serves any number of runs (the step
-    tuples are the only thing they share) and is never changed by them.
-    """
-
-    __slots__ = ("config", "workloads", "_state", "_sample")
-
-    def __init__(self, config: SystemConfig, workloads: Sequence[ThreadWorkload]) -> None:
-        self.config = config
-        self.workloads = tuple(workloads)
-        self._state = _State(config, pad_workloads(self.workloads, config))
-        self._sample = _quantum(self._state, config, self._state.schedule)
+    state.sample = mlp, tuple(completed), tuple(stalls)
 
 
 def run_simulation(
@@ -612,10 +608,11 @@ def run_simulation(
     for ``migration_penalty`` cycles while their in-flight requests drain on
     the old pool.  The report is deterministic in every argument.
 
-    A run always continues from a copy of a ``Start``'s quantum 0, which it
-    builds itself unless ``start`` is given.  A given ``start`` must be
-    built for this ``config`` and these ``workloads`` (a ``ValueError``
-    otherwise), and the report is the same either way.
+    A run always continues from a copy (``start.copy()``) of a ``Start``,
+    the state at the end of quantum 0, which it builds itself unless
+    ``start`` is given.  A given ``start`` must be built for this ``config``
+    and these ``workloads`` (a ``ValueError`` otherwise), and the report is
+    the same either way.
 
     ``observer``, if given, is called once per quantum, in order, with the
     quantum's record as soon as it is built, before the next quantum runs.
@@ -631,13 +628,13 @@ def run_simulation(
         start = Start(config, workloads)
     elif start.config != config or start.workloads != tuple(workloads):
         raise ValueError("start was built for another machine or other workloads")
-    state = start._state.copy()
-    mlp, completed, stalls = start._sample
+    state = start.copy()
 
     records: list[QuantumRecord] = []
     for q in range(total_quanta):
         if q:
-            mlp, completed, stalls = _quantum(state, config, chosen)
+            _quantum(state, chosen)
+        mlp, completed, stalls = state.sample
         schedule = state.schedule
         chosen = next_schedule(policy, mlp, config, schedule, quantum_seed(seed, q))
         records.append(

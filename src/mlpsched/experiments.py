@@ -41,7 +41,7 @@ import sys
 from contextlib import contextmanager
 from functools import reduce
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     ConfigError,
@@ -54,7 +54,7 @@ from .core import (
     processor_load,
     replace,
 )
-from .engine import SimulationReport, Start, run_simulation
+from .engine import SimulationReport, Start, _steps, run_simulation
 from .policies import (
     Policy,
     _check_oracle_cap,
@@ -91,14 +91,6 @@ __all__ = [
 ]
 
 QUANTA_FIELDS = ("quantum", "thread", "processor", "slot", "sampled_mlp", "completed", "stalls")
-COMPARE_FIELDS = (
-    "policy",
-    "throughput",
-    "total_stalls",
-    "mean_gap",
-    "mean_oversubscription",
-    "speedup",
-)
 _SYSTEM_FIELDS = SystemConfig._fields
 SWEEPABLE_FIELDS = _SYSTEM_FIELDS + ("seed", "quanta")
 
@@ -191,16 +183,13 @@ class ExperimentConfig(Value):
 
 def _step_ends(workloads: Sequence[ThreadWorkload], cycles: int) -> int:
     """The step ends a run of ``cycles`` cycles passes, about: over the
-    repeating threads with two or more steps (runs of consecutive phases of
-    one demand, as the engine merges them), the run's cycles divided by the
-    thread's lap, times its steps per lap."""
-    demand_of, duration_of = operator.attrgetter("demand"), operator.attrgetter("duration")
+    repeating threads with two or more steps (the engine's ``_steps``), the
+    run's cycles divided by the thread's lap, times its steps per lap."""
     ends = 0
     for w in workloads:
-        if w.repeat:
-            steps = len(list(itertools.groupby(map(demand_of, w.phases))))
-            if steps > 1:
-                ends += cycles * steps // sum(map(duration_of, w.phases))
+        steps = _steps(w)
+        if w.repeat and len(steps) > 1:
+            ends += cycles * len(steps) // sum(duration for duration, _ in steps)
     return ends
 
 
@@ -417,6 +406,15 @@ class PolicyMetrics(Value):
     mean_oversubscription: float
 
 
+COMPARE_FIELDS = PolicyMetrics._fields + ("speedup",)
+
+
+def _row(m: PolicyMetrics) -> tuple:
+    """``m``'s fields in order, the policy by name: one run's row of the
+    compare and sweep tables, and its summary's ``measured`` values."""
+    return (m.policy.value, *[getattr(m, name) for name in PolicyMetrics._fields[1:]])
+
+
 def _left_to_right(values) -> float:
     """Add floats in order, one rounding per step.
 
@@ -563,14 +561,12 @@ def run_policies(config: ExperimentConfig) -> list[SimulationReport]:
 
 def write_quanta_csv(report: SimulationReport, path: str) -> None:
     """One row per (quantum, thread): placement, sampled counter, work done."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(QUANTA_FIELDS)
-        for rec in report.per_quantum:
-            for t, (p, s) in enumerate(rec.schedule.placement):
-                writer.writerow(
-                    [rec.index, t, p, s, rec.sampled_mlp[t], rec.completed[t], rec.stalls[t]]
-                )
+    rows = (
+        (rec.index, t, p, s, rec.sampled_mlp[t], rec.completed[t], rec.stalls[t])
+        for rec in report.per_quantum
+        for t, (p, s) in enumerate(rec.schedule.placement)
+    )
+    write_sweep_csv(QUANTA_FIELDS, rows, path)
 
 
 def speedup(throughput: float, base: float) -> float:
@@ -585,20 +581,8 @@ def speedup(throughput: float, base: float) -> float:
 def write_compare_csv(metrics: Sequence[PolicyMetrics], path: str) -> None:
     """Comparison table; speedup is against the first-listed policy."""
     base = metrics[0].throughput
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COMPARE_FIELDS)
-        for m in metrics:
-            writer.writerow(
-                [
-                    m.policy.value,
-                    m.throughput,
-                    m.total_stalls,
-                    m.mean_gap,
-                    m.mean_oversubscription,
-                    speedup(m.throughput, base),
-                ]
-            )
+    rows = [(*_row(m), speedup(m.throughput, base)) for m in metrics]
+    write_sweep_csv(COMPARE_FIELDS, rows, path)
 
 
 def write_summary(
@@ -607,17 +591,13 @@ def write_summary(
     """JSON run summary: config echo plus whole-run and post-warmup metrics."""
     policies = {}
     for report in reports:
-        m = measure(report, config.warmup_quanta)
-        totals = asdict(report.totals)
-        policies[report.policy.value] = {
-            "totals": totals,
+        policy, *measured = _row(measure(report, config.warmup_quanta))
+        policies[policy] = {
+            "totals": asdict(report.totals),
             "measured": {
                 "first_quantum": config.warmup_quanta,
                 "quanta": config.quanta - config.warmup_quanta,
-                "throughput": m.throughput,
-                "total_stalls": m.total_stalls,
-                "mean_gap": m.mean_gap,
-                "mean_oversubscription": m.mean_oversubscription,
+                **dict(zip(PolicyMetrics._fields[1:], measured)),
             },
         }
     doc = {
@@ -655,7 +635,7 @@ def run_sweep(config: ExperimentConfig) -> tuple[tuple[str, ...], list[tuple]]:
     if not config.sweep:
         raise _fail("sweep", "required for a sweep run")
     keys = tuple(k for k, _ in config.sweep)
-    header = keys + ("policy",) + COMPARE_FIELDS[1:-1]
+    header = keys + PolicyMetrics._fields
     points = []
     for point in _sweep_points(config):
         label = ", ".join(f"{k}={_shown(v)}" for k, v in point.items())
@@ -680,13 +660,12 @@ def run_sweep(config: ExperimentConfig) -> tuple[tuple[str, ...], list[tuple]]:
         sum(c.quanta for c, _, _ in runs),
     )
     swept = [values for values, c in points for _ in c.policies]
-    return header, [
-        values + (m.policy.value, m.throughput, m.total_stalls, m.mean_gap, m.mean_oversubscription)
-        for values, m in zip(swept, metrics)
-    ]
+    return header, [values + _row(m) for values, m in zip(swept, metrics)]
 
 
-def write_sweep_csv(header: Sequence[str], rows: Sequence[tuple], path: str) -> None:
+def write_sweep_csv(header: Sequence[str], rows: Iterable[Sequence], path: str) -> None:
+    """``header`` and then ``rows`` as one CSV table: the writer of every
+    table here, the sweep's, the comparison and the per-quantum ones."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

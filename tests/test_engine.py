@@ -992,13 +992,13 @@ def test_a_copied_boundary_state_runs_on_as_the_uninterrupted_run():
         assert run_simulation(cfg, workloads, policy, seed, quanta, start=start) == report
         samples = [(r.sampled_mlp, r.completed, r.stalls) for r in report.per_quantum]
         chosen = [r.chosen for r in report.per_quantum]
-        whole = Start(cfg, workloads)._state
+        whole = Start(cfg, workloads)
         for q in range(1, quanta):
-            _quantum(whole, cfg, chosen[q - 1])
+            _quantum(whole, chosen[q - 1])
         for done in range(1, quanta + 1):
-            state = Start(cfg, workloads)._state
+            state = Start(cfg, workloads)
             for q in range(1, done):
-                _quantum(state, cfg, chosen[q - 1])
+                _quantum(state, chosen[q - 1])
             copy = state.copy()
             assert copy.steps is state.steps
             assert not mutables(as_list(copy), set()) & mutables(as_list(state), set())
@@ -1006,7 +1006,10 @@ def test_a_copied_boundary_state_runs_on_as_the_uninterrupted_run():
             assert all(g[2] is not None for g in itertools.chain(state.inflight, state.parked))
             seen["frozen"] += any(f > state.cycle for f in state.frozen)
             for run in (copy, state):
-                rest = [_quantum(run, cfg, chosen[q - 1]) for q in range(done, quanta)]
+                rest = []
+                for q in range(done, quanta):
+                    _quantum(run, chosen[q - 1])
+                    rest.append(run.sample)
                 assert rest == samples[done:], f"case {case}, copied after {done}"
                 assert as_value(run) == as_value(whole), f"case {case}, copied after {done}"
     assert min(seen.values()) >= 10, seen

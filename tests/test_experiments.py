@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import pickle
+import random
 import shutil
 import signal
 import threading
@@ -294,6 +295,75 @@ def test_load_rejects_bad_sweep_key(tmp_path):
 def test_load_refuses_bad_field_naming_it(tmp_path, overrides, expected):
     with pytest.raises(ConfigError, match=rf"^config field {expected}$"):
         load_experiment(write_config(tmp_path, base_doc(**overrides)))
+
+
+def walked_step_ends(workloads, cycles):
+    """The step ends a run of ``cycles`` cycles passes, counted by walking
+    the phases of each repeating thread whose demand changes within a lap:
+    an end wherever the demand changes and at every lap end, strictly
+    before ``cycles``.  Returns (ends, the steps per lap of those threads)."""
+    ends = steps = 0
+    for w in workloads:
+        demands = [ph.demand for ph in w.phases]
+        per_lap = 1 + sum(a != b for a, b in zip(demands, demands[1:]))
+        if not w.repeat or per_lap < 2:
+            continue
+        steps += per_lap
+        at = 0
+        for i in itertools.cycle(range(len(demands))):
+            at += w.phases[i].duration
+            if at >= cycles:
+                break
+            ends += i == len(demands) - 1 or demands[i] != demands[i + 1]
+    return ends, steps
+
+
+def test_step_end_count_is_within_a_lap_of_walking_the_phases():
+    """``_step_ends`` counts from the engine's step tuples; walking the
+    phases gives the exact count, which the estimate misses by at most the
+    counted threads' steps per lap, summed, and the estimate is 0 when no
+    thread repeats with two or more steps.  The corpus is checked to cover every
+    kind of thread and a run that ends exactly on a lap end."""
+    rng = random.Random(26)
+    seen = dict.fromkeys(
+        ("changing", "equal run", "lap wraps onto its demand", "constant", "no repeat",
+         "nothing counted", "ends on a lap end"),
+        0,
+    )
+
+    def thread(t, kind):
+        level = rng.randint(0, 3)
+        if kind == "constant":
+            demands = [level] * rng.randint(1, 4)
+        else:
+            demands = [rng.choice((level, 0, 1, 2)) for _ in range(rng.randint(1, 6))]
+        if kind == "wrap":
+            demands = [level, level + 1, *demands, level]
+        phases = tuple(Phase(rng.choice((1, rng.randint(1, 40))), d) for d in demands)
+        return ThreadWorkload(t, phases, repeat=kind != "no repeat")
+
+    for _ in range(600):
+        kinds = rng.choices(("changing", "wrap", "constant", "no repeat"), k=rng.randint(1, 5))
+        workloads = tuple(thread(t, kind) for t, kind in enumerate(kinds))
+        laps = [sum(ph.duration for ph in w.phases) for w in workloads]
+        cycles = rng.choice((rng.randint(0, 3 * max(laps)), rng.choice(laps) * rng.randint(1, 3)))
+        walked, steps = walked_step_ends(workloads, cycles)
+        ends = experiments._step_ends(workloads, cycles)
+        assert abs(ends - walked) <= steps, (workloads, cycles)
+        if not steps:
+            assert ends == 0, (workloads, cycles)
+            seen["nothing counted"] += 1
+        for w, kind, lap in zip(workloads, kinds, laps):
+            demands = [ph.demand for ph in w.phases]
+            if not w.repeat:
+                seen["no repeat"] += 1
+            elif len(set(demands)) == 1:
+                seen["constant"] += 1
+            else:
+                seen["lap wraps onto its demand" if kind == "wrap" else "changing"] += 1
+                seen["equal run"] += any(a == b for a, b in zip(demands, demands[1:]))
+                seen["ends on a lap end"] += cycles > 0 and cycles % lap == 0
+    assert min(seen.values()) >= 20, seen
 
 
 # running and measuring

@@ -1,7 +1,9 @@
-"""Names that code outside the package relies on: the README and the benchmark."""
+"""What code outside the package relies on: the names the README and the benchmark use,
+and imports from the standard library alone."""
 
 import ast
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -39,3 +41,20 @@ def test_benchmark_hooks_exist():
     assert traced.WRAPPED
     for module, name, _layer, _describe in traced.WRAPPED:
         assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+
+
+def test_the_package_imports_only_the_standard_library():
+    # The north star's zero-dependency rule, on every import statement of
+    # every module, nested ones included: each names the package itself or
+    # a module of the standard library.
+    for path in sorted((ROOT / "src" / "mlpsched").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["mlpsched" if node.level else node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top == "mlpsched" or top in sys.stdlib_module_names, f"{path.name}: {name}"
