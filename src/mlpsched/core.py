@@ -61,6 +61,14 @@ def _slots(config: SystemConfig) -> str:
     return f"{_shown(k)}*{_shown(l)} = {_shown(k * l)}"
 
 
+def _check_int(value, least: int, field: str, requirement: str, error=ValueError) -> None:
+    """Refuse ``value`` for ``field`` unless it is an integer of at least
+    ``least``; bool is an int subclass, but True is no count, so it is
+    refused too.  The error reads ``<field> must be <requirement>, got <value>``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise error(f"{field} must be {requirement}, got {_shown(value)}")
+
+
 _set_field = object.__setattr__
 
 
@@ -171,12 +179,10 @@ class SystemConfig(Value):
 
     def _check(self) -> None:
         for name in _POSITIVE_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {_shown(value)}")
-        penalty = self.migration_penalty
-        if isinstance(penalty, bool) or not isinstance(penalty, int) or penalty < 0:
-            raise ConfigError(f"migration_penalty must be a non-negative integer, got {_shown(penalty)}")
+            _check_int(getattr(self, name), 1, name, "a positive integer", ConfigError)
+        _check_int(
+            self.migration_penalty, 0, "migration_penalty", "a non-negative integer", ConfigError
+        )
         if self.window_cycles > self.quantum_cycles:
             raise ConfigError(
                 f"window_cycles ({_shown(self.window_cycles)}) must not exceed "

@@ -118,20 +118,21 @@ fast-forward.  A rule that lets a jump cross step ends a saturated pool
 cannot see (proposed in ``ROADMAP.md``) would be rule 6.
 
 *Boundary state.*  A run is a set-up step and then one boundary-to-boundary
-step per quantum (``_quantum``) over one explicit state (``Start``): its
-machine, its workloads and the sample of the quantum that ended at its
-boundary; the cycle and the last placement; per thread, its place in its
-tuple of steps, the current step's end and demand, its freeze, cap and
-shortfall; per pool, the MSHRs it holds, the requests it issued and its
-in-flight groups; and the cap changes, the FIFO and the parked groups.
-The step binds the state's lists to locals when its quantum starts and
-stores back what it rebinds at the boundary, so the cycle loop works on
-locals, and the state costs O(N + in-flight) per quantum.  Built, a
-``Start`` is the state at the end of quantum 0 under the row-major
-placement, before any policy decides.  Every run on one machine and one
-list of workloads passes through it, so a batch simulates it once and
-each run continues from a copy (``Start.copy``), which shares only the
-step tuples with it.
+step per quantum (``_quantum``) over one explicit state (``Start``), which
+holds facts only: its machine, its workloads and the sample of the quantum
+that ended at its boundary; the cycle and the last placement; per thread,
+its place in its tuple of steps, the current step's end and demand, its
+freeze and its requests in flight; per pool, the requests it issued; and
+the cap changes and the in-flight groups, each held once, in the FIFO or
+among the parked groups.  What the cycle loop keeps current for speed,
+each pool's groups and MSHRs held and each thread's cap and shortfall, the
+step rebuilds from these facts when its quantum starts, in O(N +
+in-flight), and keeps as locals; at the boundary it stores back each
+thread's requests in flight.  Built, a ``Start`` is the state at the end
+of quantum 0 under the row-major placement, before any policy decides.
+Every run on one machine and one list of workloads passes through it, so a
+batch simulates it once and each run continues from a copy
+(``Start.copy``), a plain copy that shares only the step tuples with it.
 
 Everything is integer arithmetic over plain lists, so a run is bitwise
 deterministic in (config, workloads, policy, seed, total_quanta).  The
@@ -145,7 +146,7 @@ import math
 from bisect import insort
 from collections import deque
 from itertools import chain, groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
 
 from .core import (
@@ -212,22 +213,23 @@ class SimulationReport(Value):
     totals: SimulationTotals
 
 
-def _occupancy(now, latency, retired, cap, short, groups) -> list[int]:
+def _occupancy(now, latency, retired, groups) -> list[int]:
     """Each thread's occupancy integral over cycles [0, now), less ``latency``
     per request it retired before ``retired`` began counting.
 
-    A thread's requests issued before ``now`` are those retired and those
-    still in flight, ``cap - short`` of them; each in-flight request still
-    lacks ``completion - now`` of its ``latency``.  Two reads whose
-    ``retired`` began at the same cycle differ by exactly the integral
-    between them.
+    A retired request adds its ``latency``.  A request still in flight, in a
+    group completing at or after ``now``, adds the ``latency - (completion -
+    now)`` cycles it has been in flight; ``groups`` must hold every such
+    group, and may hold groups that retired before ``now``, which add
+    nothing more.  Two reads whose ``retired`` began at the same cycle
+    differ by exactly the integral between them.
     """
-    occ = [latency * (r + c - s) for r, c, s in zip(retired, cap, short)]
+    occ = [latency * r for r in retired]
     for completion, _, threads in groups:
         ahead = completion - now
-        if ahead > 0:  # a group that retired, or retires now, lacks nothing
+        if ahead >= 0:
             for t in threads:
-                occ[t] -= ahead
+                occ[t] += latency - ahead
     return occ
 
 
@@ -278,10 +280,12 @@ class Start:
     cycles) of the quantum that ended at the boundary.  ``cycle`` is the
     boundary and ``schedule`` the placement of that quantum.  Per thread:
     ``steps``, its step tuple; ``pos``, its place in it; ``next_end`` and
-    ``demand``, the current step's end and demand; ``frozen``, ``cap``,
-    ``short`` and ``carried``.  Per pool: ``used``, ``pool_issued`` and
-    ``held``.  And the run's sorted ``cap_changes``, its FIFO ``inflight``
-    and its ``parked`` groups.
+    ``demand``, the current step's end and demand; ``frozen``, the cycle
+    before which it may not issue; and ``outstanding``, its requests in
+    flight.  Per pool: ``pool_issued``.  And the run's sorted
+    ``cap_changes`` and its in-flight groups: the FIFO ``inflight`` and the
+    ``parked`` groups, which between them hold each group once.  Nothing
+    else is kept: ``_quantum`` rebuilds its views of these when it starts.
 
     ``Start(config, workloads)`` checks and pads the workloads, builds the
     state at cycle 0 under the row-major placement (the set-up step) and
@@ -295,13 +299,11 @@ class Start:
 
     __slots__ = (
         "config", "workloads", "sample", "cycle", "schedule", "steps", "pos", "next_end",
-        "demand", "frozen", "cap", "short", "carried", "used", "pool_issued", "held",
-        "cap_changes", "inflight", "parked",
+        "demand", "frozen", "outstanding", "pool_issued", "cap_changes", "inflight", "parked",
     )
 
     def __init__(self, config: SystemConfig, workloads: Sequence[ThreadWorkload]) -> None:
         n = config.num_threads
-        k = config.num_processors
         self.config = config
         self.workloads = tuple(workloads)
         self.cycle = 0
@@ -310,36 +312,13 @@ class Start:
         self.pos = [0] * n
         self.next_end, self.demand = map(list, zip(*[own[0] for own in steps]))
         self.frozen = [0] * n  # a migrated thread may not issue before this cycle
-        self.cap = self.demand[:]  # how many requests a thread may hold: 0 while frozen
-        # How many more requests each thread may issue: its cap less its
-        # outstanding requests (across both pools during a migration).  A grant
-        # takes one and a retire gives one back, a cap change adds the new cap
-        # less the old, and a thread whose cap fell below its outstanding
-        # requests goes negative.  Outstanding counts are read back as
-        # cap - short only where occupancy is read.
-        self.short = self.cap[:]
-        # Each thread's requests in flight at the last boundary (cap - short).
-        self.carried = [0] * n
-        self.used = [0] * k  # MSHRs held, per pool
+        # Requests in flight, per thread, across both pools during a migration.
+        self.outstanding = [0] * n
         # Requests ever issued, per pool, counted at each boundary from each
-        # thread's retires and the growth of its requests in flight over the
-        # ``carried`` into the quantum.
-        self.pool_issued = [0] * k
-        # In-flight requests as [completion, processor, threads] groups, one
-        # per processor and issue cycle, listing one thread id per request.  A
-        # migrated thread's in-flight requests keep the old pool's MSHRs until
-        # they retire.  held[p] keeps pool p's latest groups in completion
-        # order.  In flight, a pool has at most one group per completion cycle
-        # within one latency, each of one MSHR or more, so the last
-        # min(M, latency) groups hold them all; readers drop the retired ones
-        # at the head.  The same groups queue for retirement: all pools share
-        # one latency, so issue order is completion order and one FIFO serves
-        # every pool.  Groups a jump moved later wait in ``parked``, sorted by
-        # completion, and join the FIFO's head when they come due; the entry a
-        # moved group leaves behind has threads None.
-        self.held = [
-            deque(maxlen=min(config.mshrs_per_processor, config.memory_latency)) for _ in range(k)
-        ]
+        # thread's retires and the growth of its requests in flight.
+        self.pool_issued = [0] * config.num_processors
+        # The in-flight groups, queued for retirement or parked by a jump
+        # (see ``_quantum``).
         self.inflight = deque()
         self.parked = []
         # (cycle, thread) whenever the thread's cap may change, at its next step
@@ -354,29 +333,21 @@ class Start:
         _quantum(self, self.schedule)
 
     def copy(self) -> Start:
-        """The same state, sharing no mutable list with this one.
+        """The same state, sharing no mutable list with this one: a plain copy.
 
-        Only the step tuples and the values that cannot change are shared.
-        Each in-flight group becomes one new list that the copy's FIFO,
-        ``parked`` and ``held`` share as this state's do, so a jump in the
-        copy voids the copy's entry alone.  Groups ``held`` still lists
-        after they retired are left out, as its readers would drop them.  No
+        Only the step tuples and the values that cannot change are shared;
+        every list is sliced and each in-flight group copied once.  No FIFO
         entry is void at a boundary: a jump voids only entries due before
         the end of its span.
         """
-        twin = {id(g): [g[0], g[1], g[2][:]] for g in chain(self.inflight, self.parked)}
         other = Start.__new__(Start)
         for name in ("config", "workloads", "sample", "cycle", "schedule", "steps"):
             setattr(other, name, getattr(self, name))
-        for name in ("pos", "next_end", "demand", "frozen", "cap", "short", "carried", "used",
-                     "pool_issued", "cap_changes"):
+        for name in ("pos", "next_end", "demand", "frozen", "outstanding", "pool_issued",
+                     "cap_changes"):
             setattr(other, name, getattr(self, name)[:])
-        other.held = [
-            deque((twin[id(g)] for g in groups if id(g) in twin), groups.maxlen)
-            for groups in self.held
-        ]
-        other.inflight = deque(twin[id(g)] for g in self.inflight)
-        other.parked = [twin[id(g)] for g in self.parked]
+        other.inflight = deque([c, p, threads[:]] for c, p, threads in self.inflight)
+        other.parked = [[c, p, threads[:]] for c, p, threads in self.parked]
         return other
 
 
@@ -386,10 +357,13 @@ def _quantum(state: Start, schedule: Schedule) -> None:
     boundary-to-boundary step.
 
     Threads whose processor differs from ``state.schedule``'s are frozen
-    first, for ``migration_penalty`` cycles.  The step works on locals
-    bound to ``state``'s lists, which it changes in place, and stores back
-    what it rebinds, the quantum's ``sample`` included: its sampled
-    counters and each thread's retired requests and stall cycles.
+    first, for ``migration_penalty`` cycles.  The step then rebuilds, as
+    locals, the views the cycle loop keeps current: each pool's in-flight
+    groups and MSHRs held, and each thread's cap and shortfall.  It works
+    on those and on locals bound to ``state``'s lists, which it changes in
+    place, and stores back what it rebinds, each thread's requests in
+    flight and the quantum's ``sample`` included: its sampled counters and
+    each thread's retired requests and stall cycles.
     """
     config = state.config
     n = config.num_threads
@@ -402,8 +376,7 @@ def _quantum(state: Start, schedule: Schedule) -> None:
 
     cycle = state.cycle
     steps, pos, next_end, demand = state.steps, state.pos, state.next_end, state.demand
-    frozen, cap, short = state.frozen, state.cap, state.short
-    used, held, cap_changes = state.used, state.held, state.cap_changes
+    frozen, cap_changes = state.frozen, state.cap_changes
     inflight, parked = state.inflight, state.parked
 
     where = [p for p, _ in schedule.placement]
@@ -411,9 +384,35 @@ def _quantum(state: Start, schedule: Schedule) -> None:
         for t, (was, _) in enumerate(state.schedule.placement):
             if was != where[t]:
                 frozen[t] = cycle + penalty
-                short[t] -= cap[t]
-                cap[t] = 0
                 insort(cap_changes, (frozen[t], t))
+    # How many requests each thread may hold: its demand, or 0 while frozen.
+    # A step end or unfreeze due at this very cycle is still to come; the
+    # cycle loop takes it first and sets the cap anew.
+    cap = [d if f <= cycle else 0 for d, f in zip(demand, frozen)]
+    # How many more requests each thread may issue: its cap less its
+    # outstanding requests (across both pools during a migration).  A grant
+    # takes one and a retire gives one back, a cap change adds the new cap
+    # less the old, and a thread whose cap fell below its outstanding
+    # requests goes negative.  Outstanding counts are read back as
+    # cap - short at the boundary.
+    short = [c - o for c, o in zip(cap, state.outstanding)]
+    # In-flight requests are [completion, processor, threads] groups, one
+    # per processor and issue cycle, listing one thread id per request.  A
+    # migrated thread's in-flight requests keep the old pool's MSHRs until
+    # they retire.  held[p] keeps pool p's latest groups in completion
+    # order.  In flight, a pool has at most one group per completion cycle
+    # within one latency, each of one MSHR or more, so the last
+    # min(M, latency) groups hold them all; readers drop the retired ones
+    # at the head.  The same groups queue for retirement: all pools share
+    # one latency, so issue order is completion order and one FIFO serves
+    # every pool.  Groups a jump moved later wait in ``parked``, sorted by
+    # completion, and join the FIFO's head when they come due; the entry a
+    # moved group leaves behind has threads None.
+    held = [deque(maxlen=min(mshrs, latency)) for _ in range(k)]
+    used = [0] * k  # MSHRs held, per pool
+    for group in sorted(chain(inflight, parked), key=itemgetter(0)):
+        held[group[1]].append(group)
+        used[group[1]] += len(group[2])
     owners = [[-1] * l for _ in range(k)]  # [processor][slot] -> thread
     for t, (p, s) in enumerate(schedule.placement):
         owners[p][s] = t
@@ -570,17 +569,17 @@ def _quantum(state: Start, schedule: Schedule) -> None:
             if parked and parked[0][0] < next_event:
                 next_event = parked[0][0]
             cycle = next_event
-        reads.append(_occupancy(cycle, latency, completed, cap, short, chain.from_iterable(held)))
+        reads.append(_occupancy(cycle, latency, completed, chain.from_iterable(held)))
     window_base, occ = reads
 
     for p, wanting in enumerate(stalled):
         gap = boundary - since[p]
         for t in wanting:
             stalls[t] += gap
-    pool_issued, carried = state.pool_issued, state.carried
+    pool_issued, carried = state.pool_issued, state.outstanding
+    outstanding = state.outstanding = [c - s for c, s in zip(cap, short)]
     for t, p in enumerate(where):
-        pool_issued[p] += completed[t] + cap[t] - short[t] - carried[t]
-    state.carried = [c - s for c, s in zip(cap, short)]
+        pool_issued[p] += completed[t] + outstanding[t] - carried[t]
     state.cycle = boundary
     state.schedule = schedule
     window = config.window_cycles
@@ -611,8 +610,8 @@ def run_simulation(
     A run always continues from a copy (``start.copy()``) of a ``Start``,
     the state at the end of quantum 0, which it builds itself unless
     ``start`` is given.  A given ``start`` must be built for this ``config``
-    and these ``workloads`` (a ``ValueError`` otherwise), and the report is
-    the same either way.
+    and these ``workloads`` and stand at the end of quantum 0, not stepped
+    on (a ``ValueError`` otherwise), and the report is the same either way.
 
     ``observer``, if given, is called once per quantum, in order, with the
     quantum's record as soon as it is built, before the next quantum runs.
@@ -628,6 +627,8 @@ def run_simulation(
         start = Start(config, workloads)
     elif start.config != config or start.workloads != tuple(workloads):
         raise ValueError("start was built for another machine or other workloads")
+    elif start.cycle != config.quantum_cycles:
+        raise ValueError(f"start is at cycle {start.cycle}, not at the end of quantum 0")
     state = start.copy()
 
     records: list[QuantumRecord] = []
@@ -652,10 +653,10 @@ def run_simulation(
             observer(records[-1])
 
     latency = config.memory_latency
-    held = state.held
     cycles = state.cycle
+    groups = [*state.inflight, *state.parked]  # at a boundary, exactly those in flight
     pool_total = [latency * issued for issued in state.pool_issued]
-    for completion, p, threads in chain.from_iterable(held):
+    for completion, p, threads in groups:
         if completion > cycles:
             pool_total[p] -= (completion - cycles) * len(threads)
     completed = [sum(counts) for counts in zip(*[r.completed for r in records])]
@@ -666,9 +667,7 @@ def run_simulation(
         completed=total_completed,
         stall_cycles_per_thread=tuple(stalls),
         stall_cycles=sum(stalls),
-        occupancy_integral=tuple(
-            _occupancy(cycles, latency, completed, state.cap, state.short, chain.from_iterable(held))
-        ),
+        occupancy_integral=tuple(_occupancy(cycles, latency, completed, groups)),
         mean_processor_occupancy=tuple(pt / cycles for pt in pool_total),
         cycles=cycles,
         throughput=total_completed / cycles,

@@ -283,7 +283,8 @@ def _parse_workloads(
         if not isinstance(raw, str):
             raise _fail("workload.trace", f"expected a path string, got {_shown(raw)}")
         path = raw if os.path.isabs(raw) else os.path.join(config_dir, raw)
-        return load_trace(path)
+        with _naming("workload.trace"):
+            return load_trace(path)
 
     if form == "synthetic":
         raw = _section(

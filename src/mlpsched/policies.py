@@ -98,6 +98,18 @@ def _descending_order(mlp: Sequence[float], config: SystemConfig) -> list[int]:
     return sorted(range(config.num_threads), key=lambda t: (-mlp[t], t))
 
 
+def _deal(mlp: Sequence[float], config: SystemConfig, alternate: bool) -> Schedule:
+    """The descending-sorted threads dealt K at a time: pass r takes sorted
+    ranks [r*K, (r+1)*K) into slot r, rank r*K+j to processor j, or to
+    processor K-1-j on odd passes when ``alternate``."""
+    k = config.num_processors
+    placement: list[tuple[int, int]] = [(-1, -1)] * config.num_threads
+    for rank, t in enumerate(_descending_order(mlp, config)):
+        r, j = divmod(rank, k)
+        placement[t] = (k - 1 - j if alternate and r % 2 else j, r)
+    return Schedule(tuple(placement))
+
+
 def serpentine_schedule(mlp: Sequence[float], config: SystemConfig) -> Schedule:
     """Boustrophedon deal of the descending-sorted threads.
 
@@ -107,13 +119,7 @@ def serpentine_schedule(mlp: Sequence[float], config: SystemConfig) -> Schedule:
     strictly increasing transform of the counters leaves the result
     unchanged.
     """
-    k = config.num_processors
-    placement: list[tuple[int, int]] = [(-1, -1)] * config.num_threads
-    for rank, t in enumerate(_descending_order(mlp, config)):
-        r, j = divmod(rank, k)
-        p = j if r % 2 == 0 else k - 1 - j
-        placement[t] = (p, r)
-    return Schedule(tuple(placement))
+    return _deal(mlp, config, alternate=True)
 
 
 def naive_sorted_schedule(mlp: Sequence[float], config: SystemConfig) -> Schedule:
@@ -122,12 +128,7 @@ def naive_sorted_schedule(mlp: Sequence[float], config: SystemConfig) -> Schedul
     Processor 0 collects every pass's maximum and processor K-1 every pass's
     minimum, which makes this the natural worst-of-the-sorted baselines.
     """
-    k = config.num_processors
-    placement: list[tuple[int, int]] = [(-1, -1)] * config.num_threads
-    for rank, t in enumerate(_descending_order(mlp, config)):
-        r, j = divmod(rank, k)
-        placement[t] = (j, r)
-    return Schedule(tuple(placement))
+    return _deal(mlp, config, alternate=False)
 
 
 def round_robin_schedule(config: SystemConfig, prev: Schedule) -> Schedule:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .core import ConfigError, SystemConfig, Value, _shown, _slots
+from .core import ConfigError, SystemConfig, Value, _check_int, _shown, _slots
 
 __all__ = [
     "IDLE_PHASE_DURATION",
@@ -44,12 +44,8 @@ class Phase(Value):
     demand: int
 
     def _check(self) -> None:
-        # bool is an int subclass, but True is neither a duration nor a demand
-        duration, demand = self.duration, self.demand
-        if isinstance(duration, bool) or not isinstance(duration, int) or duration < 1:
-            raise ValueError(f"phase duration must be an integer >= 1, got {_shown(duration)}")
-        if isinstance(demand, bool) or not isinstance(demand, int) or demand < 0:
-            raise ValueError(f"phase demand must be an integer >= 0, got {_shown(demand)}")
+        _check_int(self.duration, 1, "phase duration", "an integer >= 1")
+        _check_int(self.demand, 0, "phase demand", "an integer >= 0")
 
 
 class ThreadWorkload(Value):
@@ -63,8 +59,7 @@ class ThreadWorkload(Value):
     repeat: bool = True
 
     def _check(self) -> None:
-        if self.thread < 0:
-            raise ValueError(f"thread id must be >= 0, got {_shown(self.thread)}")
+        _check_int(self.thread, 0, "thread id", ">= 0")
         if not self.phases:
             raise ValueError(f"thread {_shown(self.thread)}: phase list must be non-empty")
 
@@ -82,8 +77,7 @@ class WorkloadSpec(Value):
     repeat: bool = True
 
     def _check(self) -> None:
-        if self.phases_per_thread < 1:
-            raise ValueError(f"phases_per_thread must be >= 1, got {_shown(self.phases_per_thread)}")
+        _check_int(self.phases_per_thread, 1, "phases_per_thread", ">= 1")
         for name, least in (("duration_range", 1), ("demand_range", 0)):
             lo, hi = value = getattr(self, name)
             if lo < least or hi < lo:

@@ -287,7 +287,9 @@ def test_long_bad_trace_value_is_shown_cut_short(tmp_path, capsys):
     cfg = write_config(tmp_path, small_doc(workload={"trace": "w.trace"}))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: line 3: duration must be an integer, got 'xxx")
+    assert err.startswith(
+        "error: config field 'workload.trace': line 3: duration must be an integer, got 'xxx"
+    )
     assert err.count("\n") == 1 and len(err) < 120
 
 

@@ -958,16 +958,11 @@ def as_list(state):
 
 
 def as_value(state):
-    """A state's fields as nested tuples; ``held`` without the groups that
-    retired before the boundary, which its readers drop anyway."""
+    """A state's fields as nested tuples."""
     fields = {}
     for name in state.__slots__:
         value = getattr(state, name)
-        if name == "held":
-            value = [
-                [(c, p, tuple(ts)) for c, p, ts in groups if c >= state.cycle] for groups in value
-            ]
-        elif name in ("inflight", "parked"):
+        if name in ("inflight", "parked"):
             value = [(c, p, tuple(ts)) for c, p, ts in value]
         elif isinstance(value, list):
             value = tuple(value)
@@ -1029,6 +1024,12 @@ def test_a_start_for_another_machine_or_other_workloads_is_refused():
     for other_cfg, other_workloads in others:
         with pytest.raises(ValueError, match="another machine or other workloads"):
             run_simulation(other_cfg, other_workloads, "serpentine", 0, 3, start=start)
+    # a state stepped on past quantum 0 is no start, though built for this machine
+    stepped = Start(cfg, workloads)
+    for _ in range(2):
+        _quantum(stepped, stepped.schedule)
+    with pytest.raises(ValueError, match="^start is at cycle 1500, not at the end of quantum 0$"):
+        run_simulation(cfg, workloads, "serpentine", 0, 3, start=stepped)
     # the same workloads in a list are the same workloads; the start is unchanged by its runs
     want = run_simulation(cfg, workloads, "serpentine", 0, 3)
     assert run_simulation(cfg, list(workloads), "serpentine", 0, 3, start=start) == want

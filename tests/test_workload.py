@@ -48,6 +48,20 @@ def test_thread_workload_rejects_negative_id():
         ThreadWorkload(thread=-1, phases=(Phase(10, 1),))
 
 
+@pytest.mark.parametrize("thread", ["a", True, 1.0, None])
+def test_thread_workload_refuses_an_id_that_is_not_an_integer(thread):
+    # a str once failed on the comparison with TypeError, and True passed as thread 1
+    with pytest.raises(ValueError, match=r"^thread id must be >= 0, got "):
+        ThreadWorkload(thread=thread, phases=(Phase(10, 1),))
+
+
+@pytest.mark.parametrize("phases_per_thread", [2.5, True, "2", None])
+def test_workload_spec_refuses_phases_per_thread_that_is_not_an_integer(phases_per_thread):
+    # 2.5 was once accepted, and generate_synthetic then failed with TypeError
+    with pytest.raises(ValueError, match=r"^phases_per_thread must be >= 1, got "):
+        WorkloadSpec(phases_per_thread=phases_per_thread)
+
+
 def test_workload_spec_validation():
     WorkloadSpec(phases_per_thread=2, duration_range=(1, 5), demand_range=(0, 0))
     with pytest.raises(ValueError, match="duration_range"):
