@@ -119,20 +119,21 @@ cannot see (proposed in ``ROADMAP.md``) would be rule 6.
 
 *Boundary state.*  A run is a set-up step and then one boundary-to-boundary
 step per quantum (``_quantum``) over one explicit state (``Start``), which
-holds facts only: its machine, its workloads and the sample of the quantum
-that ended at its boundary; the cycle and the last placement; per thread,
-its place in its tuple of steps, the current step's end and demand, its
-freeze and its requests in flight; per pool, the requests it issued; and
-the cap changes and the in-flight groups, each held once, in the FIFO or
-among the parked groups.  What the cycle loop keeps current for speed,
-each pool's groups and MSHRs held and each thread's cap and shortfall, the
-step rebuilds from these facts when its quantum starts, in O(N +
-in-flight), and keeps as locals; at the boundary it stores back each
-thread's requests in flight.  Built, a ``Start`` is the state at the end
-of quantum 0 under the row-major placement, before any policy decides.
-Every run on one machine and one list of workloads passes through it, so a
-batch simulates it once and each run continues from a copy
-(``Start.copy``), a plain copy that shares only the step tuples with it.
+holds only what a quantum cannot rebuild: its machine, its workloads and
+the sample of the quantum that ended at its boundary; the cycle and the
+last placement; per thread, its place in its tuple of steps, the current
+step's end, its freeze and its requests in flight; per pool, the requests
+it issued; and the in-flight groups, each once, in one list.  Everything
+else the step builds from these facts when its quantum starts, in O(N +
+in-flight) and a sort, and keeps as locals: each thread's demand, cap and
+shortfall, the sorted cap changes, the retirement FIFO and each pool's
+groups and MSHRs held.  At the boundary it stores back each thread's
+requests in flight and the groups still in flight.  Built, a ``Start`` is
+the state at the end of quantum 0 under the row-major placement, before
+any policy decides.  Every run on one machine and one list of workloads
+passes through it, so a batch simulates it once and each run continues
+from a copy (``Start.copy``), a plain copy that shares only the values
+that cannot change, the step tuples among them.
 
 Everything is integer arithmetic over plain lists, so a run is bitwise
 deterministic in (config, workloads, policy, seed, total_quanta).  The
@@ -273,19 +274,18 @@ def _steps(workload: ThreadWorkload) -> tuple:
 
 class Start:
     """The engine's state at a quantum boundary: everything one quantum
-    hands on to the next.
+    hands on to the next that it cannot rebuild.
 
     ``config`` is the machine, ``workloads`` the threads as given, before
     padding, and ``sample`` the (sampled counters, retired requests, stall
     cycles) of the quantum that ended at the boundary.  ``cycle`` is the
     boundary and ``schedule`` the placement of that quantum.  Per thread:
-    ``steps``, its step tuple; ``pos``, its place in it; ``next_end`` and
-    ``demand``, the current step's end and demand; ``frozen``, the cycle
-    before which it may not issue; and ``outstanding``, its requests in
-    flight.  Per pool: ``pool_issued``.  And the run's sorted
-    ``cap_changes`` and its in-flight groups: the FIFO ``inflight`` and the
-    ``parked`` groups, which between them hold each group once.  Nothing
-    else is kept: ``_quantum`` rebuilds its views of these when it starts.
+    ``steps``, its step tuple; ``pos``, its place in it; ``next_end``, the
+    current step's end; ``frozen``, the cycle before which it may not
+    issue; and ``outstanding``, its requests in flight.  Per pool:
+    ``pool_issued``.  And ``groups``, the in-flight [completion, processor,
+    threads] groups, each once.  Nothing else is kept: ``_quantum``
+    rebuilds its views of these when it starts.
 
     ``Start(config, workloads)`` checks and pads the workloads, builds the
     state at cycle 0 under the row-major placement (the set-up step) and
@@ -299,7 +299,7 @@ class Start:
 
     __slots__ = (
         "config", "workloads", "sample", "cycle", "schedule", "steps", "pos", "next_end",
-        "demand", "frozen", "outstanding", "pool_issued", "cap_changes", "inflight", "parked",
+        "frozen", "outstanding", "pool_issued", "groups",
     )
 
     def __init__(self, config: SystemConfig, workloads: Sequence[ThreadWorkload]) -> None:
@@ -310,44 +310,28 @@ class Start:
         self.schedule = initial_schedule(config)
         self.steps = steps = tuple(map(_steps, pad_workloads(self.workloads, config)))
         self.pos = [0] * n
-        self.next_end, self.demand = map(list, zip(*[own[0] for own in steps]))
+        self.next_end = [own[0][0] for own in steps]
         self.frozen = [0] * n  # a migrated thread may not issue before this cycle
         # Requests in flight, per thread, across both pools during a migration.
         self.outstanding = [0] * n
         # Requests ever issued, per pool, counted at each boundary from each
         # thread's retires and the growth of its requests in flight.
         self.pool_issued = [0] * config.num_processors
-        # The in-flight groups, queued for retirement or parked by a jump
-        # (see ``_quantum``).
-        self.inflight = deque()
-        self.parked = []
-        # (cycle, thread) whenever the thread's cap may change, at its next step
-        # end or at its unfreeze, kept sorted so the head is the earliest.  A
-        # step that never ends is never listed; an unfreeze a later migration
-        # overtook is dropped when reached.  The tail sentinel is never reached,
-        # so the list is never empty.
-        self.cap_changes = sorted(
-            (end, t) for t, end in enumerate(self.next_end) if end < math.inf
-        )
-        self.cap_changes.append((math.inf, n))
+        # The in-flight groups, each once, in no set order (see ``_quantum``).
+        self.groups = []
         _quantum(self, self.schedule)
 
     def copy(self) -> Start:
         """The same state, sharing no mutable list with this one: a plain copy.
 
-        Only the step tuples and the values that cannot change are shared;
-        every list is sliced and each in-flight group copied once.  No FIFO
-        entry is void at a boundary: a jump voids only entries due before
-        the end of its span.
+        Every list is sliced and each in-flight group copied once; every
+        other value, the step tuples included, cannot change and is shared.
         """
         other = Start.__new__(Start)
-        for name in ("config", "workloads", "sample", "cycle", "schedule", "steps"):
-            setattr(other, name, getattr(self, name))
-        for name in ("pos", "next_end", "demand", "frozen", "outstanding", "pool_issued",
-                     "cap_changes"):
-            setattr(other, name, getattr(self, name)[:])
-        other.inflight = deque([c, p, threads[:]] for c, p, threads in self.inflight)
-        other.parked = [[c, p, threads[:]] for c, p, threads in self.parked]
+        for name in Start.__slots__:
+            value = getattr(self, name)
+            setattr(other, name, value[:] if type(value) is list else value)
+        other.groups = [[c, p, threads[:]] for c, p, threads in self.groups]
         return other
 
 
@@ -357,13 +341,15 @@ def _quantum(state: Start, schedule: Schedule) -> None:
     boundary-to-boundary step.
 
     Threads whose processor differs from ``state.schedule``'s are frozen
-    first, for ``migration_penalty`` cycles.  The step then rebuilds, as
-    locals, the views the cycle loop keeps current: each pool's in-flight
-    groups and MSHRs held, and each thread's cap and shortfall.  It works
-    on those and on locals bound to ``state``'s lists, which it changes in
-    place, and stores back what it rebinds, each thread's requests in
-    flight and the quantum's ``sample`` included: its sampled counters and
-    each thread's retired requests and stall cycles.
+    first, for ``migration_penalty`` cycles; a freeze only sets ``frozen``.
+    The step then builds, as locals, every view the cycle loop keeps
+    current: each thread's demand, cap and shortfall, the sorted cap
+    changes, the retirement FIFO and each pool's in-flight groups and
+    MSHRs held.  It works on those and on locals bound to ``state``'s
+    lists, which it changes in place, and stores back what it rebinds: each
+    thread's requests in flight, the groups still in flight and the
+    quantum's ``sample``, its sampled counters and each thread's retired
+    requests and stall cycles.
     """
     config = state.config
     n = config.num_threads
@@ -375,19 +361,27 @@ def _quantum(state: Start, schedule: Schedule) -> None:
     period = l * latency
 
     cycle = state.cycle
-    steps, pos, next_end, demand = state.steps, state.pos, state.next_end, state.demand
-    frozen, cap_changes = state.frozen, state.cap_changes
-    inflight, parked = state.inflight, state.parked
+    steps, pos, next_end, frozen = state.steps, state.pos, state.next_end, state.frozen
 
     where = [p for p, _ in schedule.placement]
     if penalty:
         for t, (was, _) in enumerate(state.schedule.placement):
             if was != where[t]:
                 frozen[t] = cycle + penalty
-                insort(cap_changes, (frozen[t], t))
+    demand = [own[i][1] for own, i in zip(steps, pos)]
+    # (cycle, thread) whenever the thread's cap may change, at its next step
+    # end or at its unfreeze, kept sorted so the head is the earliest.  A
+    # step that never ends is never listed, nor is an unfreeze due now,
+    # since the cap below is already the demand.  The tail sentinel is never
+    # reached, so the list is never empty.
+    cap_changes = sorted(
+        [(end, t) for t, end in enumerate(next_end) if end < math.inf]
+        + [(f, t) for t, f in enumerate(frozen) if f > cycle]
+    )
+    cap_changes.append((math.inf, n))
     # How many requests each thread may hold: its demand, or 0 while frozen.
-    # A step end or unfreeze due at this very cycle is still to come; the
-    # cycle loop takes it first and sets the cap anew.
+    # A step end due at this very cycle is still to come; the cycle loop
+    # takes it first and sets the cap anew.
     cap = [d if f <= cycle else 0 for d, f in zip(demand, frozen)]
     # How many more requests each thread may issue: its cap less its
     # outstanding requests (across both pools during a migration).  A grant
@@ -408,9 +402,11 @@ def _quantum(state: Start, schedule: Schedule) -> None:
     # every pool.  Groups a jump moved later wait in ``parked``, sorted by
     # completion, and join the FIFO's head when they come due; the entry a
     # moved group leaves behind has threads None.
+    inflight = deque(sorted(state.groups, key=itemgetter(0)))
+    parked = []
     held = [deque(maxlen=min(mshrs, latency)) for _ in range(k)]
     used = [0] * k  # MSHRs held, per pool
-    for group in sorted(chain(inflight, parked), key=itemgetter(0)):
+    for group in inflight:
         held[group[1]].append(group)
         used[group[1]] += len(group[2])
     owners = [[-1] * l for _ in range(k)]  # [processor][slot] -> thread
@@ -582,6 +578,9 @@ def _quantum(state: Start, schedule: Schedule) -> None:
         pool_issued[p] += completed[t] + outstanding[t] - carried[t]
     state.cycle = boundary
     state.schedule = schedule
+    # No FIFO entry is void at a boundary: a jump voids only entries due
+    # before the end of its span.
+    state.groups = [*inflight, *parked]
     window = config.window_cycles
     mlp = tuple((a - b) / window for a, b in zip(occ, window_base))
     state.sample = mlp, tuple(completed), tuple(stalls)
@@ -654,7 +653,7 @@ def run_simulation(
 
     latency = config.memory_latency
     cycles = state.cycle
-    groups = [*state.inflight, *state.parked]  # at a boundary, exactly those in flight
+    groups = state.groups
     pool_total = [latency * issued for issued in state.pool_issued]
     for completion, p, threads in groups:
         if completion > cycles:

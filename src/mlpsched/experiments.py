@@ -126,6 +126,9 @@ class ExperimentConfig(Value):
     The workloads are checked against the machine here, so every loaded
     config, ``--seed`` override and sweep point (each a ``core.replace``
     of the config) is checked; they are padded to K*L threads at run time.
+    ``quanta``, ``warmup_quanta`` and ``seed`` are checked as integers here
+    too, by the loader's rule, so a library caller and a config file get
+    one message.
     """
 
     system: SystemConfig
@@ -137,6 +140,8 @@ class ExperimentConfig(Value):
     sweep: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
     def _check(self) -> None:
+        for name in ("quanta", "warmup_quanta", "seed"):
+            _as_int(getattr(self, name), name)
         if not self.policies:
             raise _fail("policies", "must list at least one policy")
         if self.quanta < 1:
@@ -318,6 +323,8 @@ def _parse_workloads(
     if form == "threads":
         if not isinstance(raw, list):
             raise _fail("workload.threads", "expected a list of thread objects")
+        if not raw:
+            raise _fail("workload.threads", "must list at least one thread")
         out = []
         for i, entry in enumerate(raw):
             entry = _section(entry, f"workload.threads[{i}]", ("phases", "repeat"), ("phases",))
@@ -329,6 +336,8 @@ def _parse_workloads(
     # demands: one repeating constant-demand phase per listed thread
     if not isinstance(raw, list):
         raise _fail("workload.demands", "expected a list of integers")
+    if not raw:
+        raise _fail("workload.demands", "must list at least one thread")
     out = []
     for i, d in enumerate(raw):
         demand = _as_int(d, f"workload.demands[{i}]")
@@ -385,9 +394,9 @@ def load_experiment(path: str) -> ExperimentConfig:
             doc["workload"], os.path.dirname(os.path.abspath(path)), system
         ),
         policies=_parse_policies(doc["policies"]),
-        quanta=_as_int(doc.get("quanta", 1), "quanta"),
-        warmup_quanta=_as_int(doc.get("warmup_quanta", 0), "warmup_quanta"),
-        seed=_as_int(doc.get("seed", 0), "seed"),
+        quanta=doc.get("quanta", 1),
+        warmup_quanta=doc.get("warmup_quanta", 0),
+        seed=doc.get("seed", 0),
         sweep=_parse_sweep(doc["sweep"]) if "sweep" in doc else (),
     )
 

@@ -8,6 +8,7 @@ and loaded from a line-delimited trace file (see ``docs/formats.md``).
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Iterable, Sequence
 
@@ -79,7 +80,13 @@ class WorkloadSpec(Value):
     def _check(self) -> None:
         _check_int(self.phases_per_thread, 1, "phases_per_thread", ">= 1")
         for name, least in (("duration_range", 1), ("demand_range", 0)):
-            lo, hi = value = getattr(self, name)
+            value = getattr(self, name)
+            pair = "a (min, max) pair of integers"
+            if not isinstance(value, (tuple, list)) or len(value) != 2:
+                raise ValueError(f"{name} must be {pair}, got {_shown(value)}")
+            for bound in value:
+                _check_int(bound, -math.inf, name, pair)
+            lo, hi = value
             if lo < least or hi < lo:
                 raise ValueError(f"{name} must satisfy {least} <= min <= max, got {_shown(value)}")
 
@@ -88,10 +95,12 @@ def generate_synthetic(spec: WorkloadSpec, n_threads: int, seed: int) -> tuple[T
     """Deterministic workload generation: same (spec, n_threads, seed), same result.
 
     Durations and demands are drawn uniformly (``random.Random(seed)``,
-    Mersenne Twister) from ``spec``'s inclusive ranges.
+    Mersenne Twister) from ``spec``'s inclusive ranges.  ``n_threads`` must
+    be an integer >= 1 and ``seed`` one >= 0: ``random.Random`` seeds with
+    a negative integer's absolute value, so -5 would draw what 5 draws.
     """
-    if n_threads < 1:
-        raise ValueError(f"n_threads must be >= 1, got {_shown(n_threads)}")
+    _check_int(n_threads, 1, "n_threads", ">= 1")
+    _check_int(seed, 0, "seed", ">= 0")
     rng = random.Random(seed)
     out = []
     for t in range(n_threads):

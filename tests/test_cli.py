@@ -315,6 +315,22 @@ def test_bad_system_value_names_the_system_field(tmp_path, capsys, fields, probl
     assert capsys.readouterr().err == f"error: config field 'system': {problem}\n"
 
 
+@pytest.mark.parametrize("seed", [-1, -5])
+def test_negative_synthetic_seed_is_refused_naming_the_section(tmp_path, capsys, seed):
+    # random.Random(-5) seeds as random.Random(5) does, so -5 would silently
+    # generate seed 5's workload
+    cfg = write_config(tmp_path, synthetic(seed=seed))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config field 'workload.synthetic': seed must be >= 0, got {seed}\n"
+    )
+
+
+def test_synthetic_seed_zero_loads(tmp_path):
+    cfg = write_config(tmp_path, synthetic(seed=0))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
 @pytest.mark.parametrize(
     "doc, field, count",
     [

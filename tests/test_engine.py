@@ -5,7 +5,6 @@ Tests that step single cycles drive the cycle-by-cycle oracle in
 for report, and through one-cycle quanta where a table is per cycle.
 """
 
-import itertools
 import math
 import random
 from collections import deque
@@ -14,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlpsched.core import ConfigError, Schedule, SystemConfig, replace
-from mlpsched.engine import Start, _quantum, initial_schedule, run_simulation
+from mlpsched import engine
+from mlpsched.engine import Start, _move_later, _quantum, initial_schedule, run_simulation
 from mlpsched.policies import Policy, serpentine_schedule
 from mlpsched.workload import (
     Phase,
@@ -962,7 +962,7 @@ def as_value(state):
     fields = {}
     for name in state.__slots__:
         value = getattr(state, name)
-        if name in ("inflight", "parked"):
+        if name == "groups":
             value = [(c, p, tuple(ts)) for c, p, ts in value]
         elif isinstance(value, list):
             value = tuple(value)
@@ -970,15 +970,23 @@ def as_value(state):
     return fields
 
 
-def test_a_copied_boundary_state_runs_on_as_the_uninterrupted_run():
+def test_a_copied_boundary_state_runs_on_as_the_uninterrupted_run(monkeypatch):
     """For every policy: run q quanta, copy the state, run the rest from the
     copy, and each later quantum's sample and the final state match the
     uninterrupted run's, for every q; so does the original, run on after
     the copy ran.  The two share no mutable list, only the step tuples.
-    The corpus is checked to cover copies taken with groups parked by a
-    jump and with frozen threads; no copy meets a voided FIFO entry."""
+    The corpus is checked to cover copies taken while a group that a jump
+    moved is still in flight and with frozen threads; no copy meets a
+    voided FIFO entry."""
+    moved = {}  # id -> every group a jump moved, held so that no id is reused
+
+    def recording(held, parked, completions):
+        _move_later(held, parked, completions)
+        moved.update((id(group), group) for group in parked)
+
+    monkeypatch.setattr(engine, "_move_later", recording)
     rng = random.Random(2026)
-    seen = dict.fromkeys(("parked", "frozen"), 0)
+    seen = dict.fromkeys(("moved", "frozen"), 0)
     for case in range(120):
         draw = random_machine if case % 2 else long_machine
         cfg, workloads, policy, seed, quanta = draw(rng, tuple(Policy)[case % len(Policy)])
@@ -991,14 +999,15 @@ def test_a_copied_boundary_state_runs_on_as_the_uninterrupted_run():
         for q in range(1, quanta):
             _quantum(whole, chosen[q - 1])
         for done in range(1, quanta + 1):
+            moved.clear()
             state = Start(cfg, workloads)
             for q in range(1, done):
                 _quantum(state, chosen[q - 1])
             copy = state.copy()
             assert copy.steps is state.steps
             assert not mutables(as_list(copy), set()) & mutables(as_list(state), set())
-            seen["parked"] += bool(state.parked)
-            assert all(g[2] is not None for g in itertools.chain(state.inflight, state.parked))
+            seen["moved"] += any(id(group) in moved for group in state.groups)
+            assert all(group[2] is not None for group in state.groups)
             seen["frozen"] += any(f > state.cycle for f in state.frozen)
             for run in (copy, state):
                 rest = []

@@ -8,6 +8,7 @@ import json
 import os
 import pickle
 import random
+import re
 import shutil
 import signal
 import threading
@@ -290,11 +291,34 @@ def test_load_rejects_bad_sweep_key(tmp_path):
             {"workload": {"synthetic": {"n_threads": 2, "demand_range": [3]}}},
             r"'workload.synthetic.demand_range': expected \[min, max\], got \[3\]",
         ),
+        ({"workload": {"threads": []}}, r"'workload.threads': must list at least one thread"),
+        ({"workload": {"demands": []}}, r"'workload.demands': must list at least one thread"),
     ],
 )
 def test_load_refuses_bad_field_naming_it(tmp_path, overrides, expected):
     with pytest.raises(ConfigError, match=rf"^config field {expected}$"):
         load_experiment(write_config(tmp_path, base_doc(**overrides)))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("quanta", True),
+        ("quanta", 2.0),
+        ("quanta", "3"),
+        ("warmup_quanta", True),
+        ("seed", 1.5),
+        ("seed", True),
+    ],
+)
+def test_experiment_config_checks_its_integer_fields_as_the_loader_does(tmp_path, field, value):
+    # quanta=True once ran one quantum, and quanta=2.0 failed in run_policies
+    config = load_experiment(write_config(tmp_path, base_doc()))
+    expected = rf"^config field '{field}': expected an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ConfigError, match=expected):
+        replace(config, **{field: value})
+    with pytest.raises(ConfigError, match=expected):
+        load_experiment(write_config(tmp_path, base_doc(**{field: value})))
 
 
 def walked_step_ends(workloads, cycles):

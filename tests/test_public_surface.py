@@ -1,5 +1,6 @@
 """What code outside the package relies on: the names the README and the benchmark use,
-and imports from the standard library alone."""
+the examples the README and ``docs/formats.md`` show, and imports from the standard
+library alone."""
 
 import ast
 import re
@@ -8,6 +9,8 @@ import types
 from pathlib import Path
 
 import mlpsched
+from mlpsched.experiments import load_experiment
+from mlpsched.workload import load_trace, save_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,6 +32,19 @@ def test_readme_example_runs_and_imports_exactly_the_package_names(capsys):
     exec(compile(source, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 and float(lines[0]) > 0
+
+
+def test_the_format_docs_examples_load(tmp_path):
+    # The first json block is a whole config; the trace example loads, and
+    # save_trace writes it back byte for byte.
+    text = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(re.search(r"```json\n(.*?)```", text, re.S).group(1), encoding="utf-8")
+    load_experiment(str(config))
+    trace, saved = tmp_path / "trace.csv", tmp_path / "saved.csv"
+    trace.write_text(re.search(r"```\n(mlpsched-trace 1\n.*?)```", text, re.S).group(1), encoding="utf-8")
+    save_trace(load_trace(str(trace)), str(saved))
+    assert saved.read_bytes() == trace.read_bytes()
 
 
 def test_benchmark_hooks_exist():

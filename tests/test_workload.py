@@ -74,6 +74,36 @@ def test_workload_spec_validation():
         WorkloadSpec(phases_per_thread=0)
 
 
+@pytest.mark.parametrize("value", [(1.5, 3), (True, 3), "ab", (1, 2, 3)])
+def test_workload_spec_refuses_a_range_that_is_not_a_pair_of_integers(value):
+    # (1.5, 3) and (True, 3) were once accepted, and generate_synthetic then
+    # failed naming no field; "ab" and (1, 2, 3) failed on a comparison or
+    # an unpacking
+    for name in ("duration_range", "demand_range"):
+        with pytest.raises(ValueError, match=rf"^{name} must be a \(min, max\) pair of integers, got "):
+            WorkloadSpec(**{name: value})
+
+
+def test_workload_spec_keeps_the_range_message_for_integers_out_of_order():
+    with pytest.raises(ValueError, match=r"^duration_range must satisfy 1 <= min <= max, got \(0, 5\)$"):
+        WorkloadSpec(duration_range=(0, 5))
+    with pytest.raises(ValueError, match=r"^demand_range must satisfy 0 <= min <= max, got \(3, 2\)$"):
+        WorkloadSpec(demand_range=(3, 2))
+
+
+@pytest.mark.parametrize(
+    "n_threads, seed, message",
+    [
+        (2.5, 0, r"^n_threads must be >= 1, got 2.5$"),
+        (2, -5, r"^seed must be >= 0, got -5$"),
+        (2, 1.5, r"^seed must be >= 0, got 1.5$"),
+    ],
+)
+def test_generate_refuses_a_thread_count_or_seed_that_is_not_a_count(n_threads, seed, message):
+    with pytest.raises(ValueError, match=message):
+        generate_synthetic(WorkloadSpec(), n_threads, seed)
+
+
 def test_generate_deterministic():
     spec = WorkloadSpec(phases_per_thread=3, duration_range=(10, 100), demand_range=(0, 8))
     assert generate_synthetic(spec, 6, seed=99) == generate_synthetic(spec, 6, seed=99)
